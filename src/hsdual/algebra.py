@@ -135,10 +135,6 @@ def _add(semiring: Semiring, a, b):
     return total
 
 
-def _mul(semiring: Semiring, a, b):
-    return a * b
-
-
 def _key_order(key) -> tuple:
     return (type(key).__name__, repr(key))
 
@@ -227,7 +223,7 @@ def scale(coefficient, s: FormalSum) -> FormalSum:
     c0 = _coerce(s.semiring, coefficient)
     return formal_sum(
         s.semiring,
-        ((k, _mul(s.semiring, c0, c)) for k, c in s.terms),
+        ((k, c0 * c) for k, c in s.terms),
         distribution=s.distribution and c0 == _one(s.semiring),
     )
 
@@ -248,7 +244,7 @@ def flatten(ss: FormalSum) -> FormalSum:
                 f"inner sum over {inner.semiring.value} inside outer {ss.semiring.value}"
             )
         for key, c in inner.terms:
-            pairs.append((key, _mul(ss.semiring, outer_coeff, c)))
+            pairs.append((key, outer_coeff * c))
     distribution = ss.distribution and all(inner.distribution for inner, _ in ss.terms)
     return formal_sum(ss.semiring, pairs, distribution)
 

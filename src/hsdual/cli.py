@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -49,6 +50,33 @@ class _InputError(Exception):
     """Anything wrong with user-supplied files or flags (exit code 2)."""
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
+def _finite_positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -57,6 +85,8 @@ def _load_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path} nests too deeply to decode") from exc
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -163,7 +193,10 @@ def _cmd_laws(args) -> tuple[dict, bool]:
     if args.instance == "interval":
         inst = effect.make_unit_interval()
     elif args.instance == "powerset":
-        inst = effect.make_powerset(args.dim)
+        try:
+            inst = effect.make_powerset(args.dim)
+        except ValueError as exc:
+            raise _InputError(str(exc)) from exc
     elif args.instance == "effects":
         inst = effect.make_effects(args.dim, args.tol)
     elif args.instance == "projections":
@@ -254,15 +287,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="operator kinds, trace-pairing duality, effect algebras, "
         "free constructions, and weakest preconditions",
     )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--tol", type=_finite_positive_float, default=DEFAULT_TOL, help="tolerance (default 1e-9)")
+    parser.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed (default 0)")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
 
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--tol", type=_finite_positive_float, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_nonnegative_int, default=argparse.SUPPRESS)
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -273,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duality-roundtrip", parents=[common], help="operator -> functional -> operator residuals")
     p.add_argument("--kind", choices=sorted(_KIND_FLAGS), required=True)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seeds", type=int, default=50)
+    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--seeds", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_duality_roundtrip)
 
     p = sub.add_parser("laws", parents=[common], help="monad laws or effect-algebra laws")
@@ -284,14 +317,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["interval", "powerset", "effects", "projections"],
         default=None,
     )
-    p.add_argument("--dim", type=int, default=2, help="dimension / ground-set size")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--dim", type=_positive_int, default=2, help="dimension / ground-set size")
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_laws)
 
     p = sub.add_parser("free-iso", parents=[common], help="free-construction isomorphism residuals")
     p.add_argument("--which", choices=["s", "r", "c", "chain"], required=True)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seeds", type=int, default=50)
+    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--seeds", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_free_iso)
 
     p = sub.add_parser("wp", parents=[common], help="weakest precondition of an effect under a channel")
@@ -299,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effect", required=True, help="path to an effect matrix JSON file")
     p.add_argument(
         "--check-duality",
-        type=int,
+        type=_nonnegative_int,
         default=0,
         metavar="M",
         help="verify tr(f(rho) A) = tr(rho W) on M sampled densities",

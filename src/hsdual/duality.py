@@ -4,43 +4,28 @@ Every operator A induces a functional on its dual family: bounded operators
 pair through tr(A B^dagger) (conjugate-linear in B), the self-adjoint /
 positive families pair through tr(A B), effects pair against densities and
 densities against effects, both landing in [0, 1].  The reverse direction
-reconstructs the operator from black-box evaluations only: the functional is
-probed on matrix units and on the spectral probe operators demanded by a
-chain of extension steps, never inspected structurally.
+reconstructs the operator from black-box evaluations only, never inspecting
+the functional structurally.
 
-Reconstruction chain (each step reduces to the previous kind):
+Reconstruction (dim^2 evaluations after the spot check):
 
   bounded        A[j, k] = f(|j><k|)
-  self-adjoint   extend f to f'(B) = (f(B + B') + i f(iB - iB')) / 2
-                 with B' = B^dagger, invert as bounded, symmetrize
-  positive       extend by splitting: f'(B) = f(B_pos) - f(B_neg)
-  effect         functional lives on densities; extend to positives by
-                 f'(B) = tr(B) * f(B / tr(B)), f'(0) = 0
-  density        functional lives on effects; extend to positives by
-                 f'(B) = n * f(B / n) for an integer n >= max eigenvalue
-                 (the result must not depend on n, which is checked)
+  the rest       a pure state P = psi psi^dagger is self-adjoint, positive,
+                 an effect and a density at once, and f(P) = psi^dagger A psi;
+                 on e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 these read
+                 off A_jj, Re A_jk and Im A_jk, with no eigendecomposition
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    EIG_TOL,
-    DimensionMismatch,
-    as_matrix,
-    dagger,
-    hermitian_eig,
-    outer_unit,
-    trace,
-)
-from .operators import OperatorKind, classify, pos_neg_split, sample
+from .linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, dagger, outer_unit, trace
+from .operators import OperatorKind, classify, sample
 
 
 class DualityError(Exception):
@@ -131,77 +116,24 @@ def _invert_bounded(f: Callable[[np.ndarray], complex], dim: int) -> np.ndarray:
     return A
 
 
-def _extend_sa(f: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], complex]:
-    def g(B: np.ndarray) -> complex:
-        Bd = dagger(B)
-        return 0.5 * (complex(f(B + Bd)) + 1j * complex(f(1j * B - 1j * Bd)))
-
-    return g
-
-
-def _extend_pos(f: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], complex]:
-    def g(B: np.ndarray) -> complex:
-        P, N = _split_cached(B)
-        return complex(f(P)) - complex(f(N))
-
-    return g
-
-
-def _extend_effect_functional(f, tol: float) -> Callable[[np.ndarray], complex]:
-    # f is defined on densities; extend along scaling to all positives.
-    def g(B: np.ndarray) -> complex:
-        t = trace(B).real
-        if t <= tol:
-            return 0.0
-        return t * complex(f(B / t))
-
-    return g
-
-
-def _extend_density_functional(f, tol: float) -> Callable[[np.ndarray], complex]:
-    # f is defined on effects; divide by an integer ceiling of the top
-    # eigenvalue to land in [0, I], and verify the choice does not matter.
-    def g(B: np.ndarray) -> complex:
-        hi = _max_eig_cached(B)
-        n = max(1, math.ceil(hi - 1e-12))
-        v1 = n * complex(f(B / n))
-        v2 = (n + 1) * complex(f(B / (n + 1)))
-        if abs(v1 - v2) > tol * max(1.0, abs(v1)):
-            raise ContractViolation(
-                "functional is not scaling-compatible: "
-                f"{n}*f(B/{n}) = {v1:.12g} but {n + 1}*f(B/{n + 1}) = {v2:.12g}"
-            )
-        return v1
-
-    return g
-
-
-@lru_cache(maxsize=8192)
-def _split_cached_bytes(dim: int, buf: bytes) -> tuple[np.ndarray, np.ndarray]:
-    B = np.frombuffer(buf, dtype=np.complex128).reshape(dim, dim)
-    P, N = pos_neg_split(B, tol=DEFAULT_TOL)
-    P.setflags(write=False)
-    N.setflags(write=False)
-    return P, N
-
-
-def _split_cached(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The extension chain splits the same standard probe operators for every
-    # inversion at a given dimension; memoize on the matrix bytes.
-    B = np.ascontiguousarray(B, dtype=np.complex128)
-    return _split_cached_bytes(B.shape[0], B.tobytes())
-
-
-@lru_cache(maxsize=8192)
-def _max_eig_cached_bytes(dim: int, buf: bytes) -> float:
-    B = np.frombuffer(buf, dtype=np.complex128).reshape(dim, dim)
-    H = (B + B.conj().T) / 2.0
-    return float(hermitian_eig(H, tol=EIG_TOL).eigenvalues[0])
-
-
-def _max_eig_cached(B: np.ndarray) -> float:
-    B = np.ascontiguousarray(B, dtype=np.complex128)
-    return _max_eig_cached_bytes(B.shape[0], B.tobytes())
+def _invert_hermitian(f: Callable[[np.ndarray], complex], dim: int) -> np.ndarray:
+    # f(psi psi^dagger) is A_jj on e_j, and (A_jj + A_kk)/2 + Re A_jk and
+    # (A_jj + A_kk)/2 - Im A_jk on (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2.
+    # The probes hold exact halves, not (1/sqrt2)**2.  Re psi^dagger C psi =
+    # psi^dagger ((C + C^dagger)/2) psi, so real parts symmetrize any inducer.
+    A = np.zeros((dim, dim), dtype=np.complex128)
+    for j in range(dim):
+        A[j, j] = complex(f(outer_unit(j, j, dim))).real
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            mean = (A[j, j].real + A[k, k].real) / 2.0
+            base = (outer_unit(j, j, dim) + outer_unit(k, k, dim)) / 2.0
+            jk, kj = outer_unit(j, k, dim), outer_unit(k, j, dim)
+            re = complex(f(base + (jk + kj) / 2.0)).real - mean
+            im = mean - complex(f(base + (kj - jk) * 0.5j)).real
+            A[j, k] = complex(re, im)
+            A[k, j] = complex(re, -im)
+    return A
 
 
 _SPOT_DOMAIN = {
@@ -271,49 +203,48 @@ def _spot_check(f: Functional, tol: float) -> None:
         raise ContractViolation(f"{kind.value} functional failed {msg} (residual {residual:.3e})")
 
     for B, C, z, combo in _spot_probes(kind, f.dim):
+        fB = f(B)
         if kind == OperatorKind.BOUNDED:
             lhs = f(combo)
-            rhs = complex(z).conjugate() * f(B) + f(C)
+            rhs = complex(z).conjugate() * fB + f(C)
             scale = max(1.0, abs(lhs), abs(rhs))
             if abs(lhs - rhs) > tol * scale:
                 fail("conjugate-linearity", abs(lhs - rhs))
         elif kind == OperatorKind.SELF_ADJOINT:
             lhs = f(combo)
-            rhs = z * f(B) + f(C)
+            rhs = z * fB + f(C)
             scale = max(1.0, abs(lhs), abs(rhs))
             if abs(lhs - rhs) > tol * scale:
                 fail("real-linearity", abs(lhs - rhs))
-            if abs(f(B).imag) > tol * scale:
-                fail("real-valuedness", abs(f(B).imag))
+            if abs(fB.imag) > tol * scale:
+                fail("real-valuedness", abs(fB.imag))
         elif kind == OperatorKind.POSITIVE:
             lhs = f(combo)
-            rhs = z * f(B) + f(C)
+            rhs = z * fB + f(C)
             scale = max(1.0, abs(lhs), abs(rhs))
             if abs(lhs - rhs) > tol * scale:
                 fail("nonnegative-linearity", abs(lhs - rhs))
-            if f(B).real < -tol * scale:
-                fail("nonnegativity", -f(B).real)
+            if fB.real < -tol * scale:
+                fail("nonnegativity", -fB.real)
         elif kind == OperatorKind.EFFECT:
             lhs = f(combo)
-            rhs = z * f(B) + (1.0 - z) * f(C)
+            rhs = z * fB + (1.0 - z) * f(C)
             if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
                 fail("affinity on densities", abs(lhs - rhs))
-            v = f(B)
-            if v.real < -tol or v.real > 1.0 + tol or abs(v.imag) > tol:
-                fail("valuation in [0, 1]", max(-v.real, v.real - 1.0, abs(v.imag)))
+            if fB.real < -tol or fB.real > 1.0 + tol or abs(fB.imag) > tol:
+                fail("valuation in [0, 1]", max(-fB.real, fB.real - 1.0, abs(fB.imag)))
         else:  # DENSITY
             scaled, half_sum = combo
             lhs = f(scaled)
-            rhs = z * f(B)
+            rhs = z * fB
             if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
                 fail("scalar action", abs(lhs - rhs))
             lhs2 = f(half_sum)
             rhs2 = f(B / 2.0) + f(C / 2.0)
             if abs(lhs2 - rhs2) > tol * max(1.0, abs(lhs2)):
                 fail("additivity on summable effects", abs(lhs2 - rhs2))
-            v = f(B)
-            if v.real < -tol or v.real > 1.0 + tol or abs(v.imag) > tol:
-                fail("valuation in [0, 1]", max(-v.real, v.real - 1.0, abs(v.imag)))
+            if fB.real < -tol or fB.real > 1.0 + tol or abs(fB.imag) > tol:
+                fail("valuation in [0, 1]", max(-fB.real, fB.real - 1.0, abs(fB.imag)))
 
     if kind == OperatorKind.DENSITY:
         v = f(np.eye(f.dim, dtype=np.complex128))
@@ -321,23 +252,15 @@ def _spot_check(f: Functional, tol: float) -> None:
             fail("normalisation f(I) = 1", abs(v - 1.0))
 
 
-_CHECK_KIND = {
-    OperatorKind.SELF_ADJOINT: OperatorKind.SELF_ADJOINT,
-    OperatorKind.POSITIVE: OperatorKind.POSITIVE,
-    OperatorKind.EFFECT: OperatorKind.EFFECT,
-    OperatorKind.DENSITY: OperatorKind.DENSITY,
-}
-
-
 def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reconstruct the operator inducing the functional f within ``kind``.
 
     The functional is treated as a black box: it is spot-checked for its
     kind's linearity contract (ContractViolation on failure), then probed on
-    matrix units and on the spectral probe operators required by the
-    extension chain.  If the reconstructed operator does not classify as
-    ``kind``, NotInKind is raised -- that signals f was not induced by any
-    operator of this kind.
+    dim^2 fixed operators: matrix units for the bounded kind, pure states for
+    the others.  If the reconstructed operator does not classify as ``kind``,
+    NotInKind is raised -- that signals f was not induced by any operator of
+    this kind.
     """
     if kind not in DUAL_KINDS:
         raise KindMismatch(f"kind {kind} has no trace pairing")
@@ -351,22 +274,10 @@ def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> n
     if kind == OperatorKind.BOUNDED:
         return _invert_bounded(f, dim)
 
-    if kind == OperatorKind.SELF_ADJOINT:
-        g = _extend_sa(f)
-    elif kind == OperatorKind.POSITIVE:
-        g = _extend_sa(_extend_pos(f))
-    elif kind == OperatorKind.EFFECT:
-        g = _extend_sa(_extend_pos(_extend_effect_functional(f, tol)))
-    else:  # DENSITY
-        g = _extend_sa(_extend_pos(_extend_density_functional(f, tol)))
-
-    A = _invert_bounded(g, dim)
-    A = (A + A.conj().T) / 2.0
-
-    check = _CHECK_KIND[kind]
-    if not classify(A, tol).has(check):
+    A = _invert_hermitian(f, dim)
+    if not classify(A, tol).has(kind):
         raise NotInKind(
-            f"reconstructed operator does not classify as {check.value} at tol={tol}"
+            f"reconstructed operator does not classify as {kind.value} at tol={tol}"
         )
     return A
 

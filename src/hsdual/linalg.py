@@ -223,10 +223,14 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object with 'dim' and 'data'")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed matrix JSON: missing {exc}") from exc
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"matrix JSON dim must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError("matrix JSON must have dim >= 1")
     if not isinstance(data, list) or len(data) != dim * dim:
@@ -235,7 +239,9 @@ def matrix_from_json(obj) -> np.ndarray:
     for pair in data:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError("matrix JSON entries must be [re, im] pairs")
-        re, im = float(pair[0]), float(pair[1])
-        flat.append(complex(re, im))
+        try:
+            flat.append(complex(float(pair[0]), float(pair[1])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix JSON entries must be numbers: {exc}") from exc
     A = np.array(flat, dtype=np.complex128).reshape(dim, dim)
     return as_matrix(A)

@@ -241,10 +241,6 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
     raise ValueError(f"unknown operator kind: {kind!r}")
 
 
-def random_density(dim: int, seed: int) -> np.ndarray:
-    return sample(OperatorKind.DENSITY, dim, seed)
-
-
 def projector_onto(column: np.ndarray) -> np.ndarray:
     """Rank-one projector onto a (nonzero) vector."""
     v = np.asarray(column, dtype=np.complex128).reshape(-1, 1)
@@ -266,7 +262,6 @@ __all__ = [
     "loewner_leq",
     "sample",
     "sample_unitary",
-    "random_density",
     "projector_onto",
     "identity",
 ]

@@ -156,6 +156,56 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality-roundtrip", "--kind", "density", "--dim", "0"],
+        ["duality-roundtrip", "--kind", "density", "--seeds", "0"],
+        ["free-iso", "--which", "r", "--dim", "-1"],
+        ["laws", "--instance", "powerset", "--dim", "0"],
+        ["laws", "--instance", "powerset", "--dim", "17"],
+        ["laws", "--instance", "effects", "--samples", "0"],
+        ["--tol", "nan", "free-iso", "--which", "r"],
+        ["free-iso", "--which", "r", "--tol", "inf"],
+        ["--tol", "-1", "free-iso", "--which", "r"],
+        ["--tol", "0", "free-iso", "--which", "r"],
+        ["--seed", "-1", "free-iso", "--which", "r"],
+        ["free-iso", "--which", "r", "--dim", "2.5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_flag_values_exit_two(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_negative_check_duality_exits_two(capsys, tmp_path, x_flip_channel):
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    argv = ["wp", "--channel", x_flip_channel, "--effect", effect_path, "--check-duality", "-3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_channel_exits_two(capsys, tmp_path):
+    unit = '{"type": "unitary", "matrix": {"dim": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}}'
+    depth = 3000
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"type": "mixture", "weights": ["1"], "parts": [' * depth + unit + "]}" * depth)
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    code, out, err = _run(capsys, ["wp", "--channel", str(deep), "--effect", effect_path])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_failed_check_exits_one(capsys):
     # an absurdly tight tolerance turns honest float error into a failure
     code, out, _ = _run(

@@ -15,11 +15,12 @@ from hsdual.duality import (
     Functional,
     KindMismatch,
     NotInKind,
+    _spot_check,
     hs_forward,
     hs_inverse,
     naturality_check,
 )
-from hsdual.linalg import approx_eq, identity, max_norm, outer_unit, trace
+from hsdual.linalg import DEFAULT_TOL, approx_eq, identity, max_norm, outer_unit, trace
 from hsdual.operators import OperatorKind, sample, sample_unitary
 
 from conftest import mat
@@ -178,6 +179,25 @@ def test_inverse_scaling_consistency_guard():
 
     with pytest.raises((ContractViolation, NotInKind)):
         hs_inverse(DM, Functional(DM, 2, sneaky))
+
+
+@pytest.mark.parametrize("kind", [SA, POS, EF, DM], ids=lambda k: k.value)
+def test_inverse_probes_dim_squared_pure_states(kind):
+    # beyond the spot check, a self-adjoint kind costs exactly dim^2 evaluations
+    for dim in (1, 2, 3, 4):
+        f = hs_forward(kind, sample(kind, dim, dim))
+        calls = []
+
+        def counting(Bm, f=f):
+            calls.append(Bm)
+            return f(Bm)
+
+        counted = Functional(kind, dim, counting)
+        _spot_check(counted, DEFAULT_TOL)
+        spot = len(calls)
+        calls.clear()
+        hs_inverse(kind, counted)
+        assert len(calls) - spot == dim * dim, (kind, dim)
 
 
 # --- naturality ----------------------------------------------------------------

@@ -229,5 +229,26 @@ def test_matrix_from_json_rejects_malformed():
         matrix_from_json({"dim": 1, "data": [[1, 0, 0]]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"dim": 2.7, "data": [[1, 0]] * 4},
+        {"dim": True, "data": [[1, 0]]},
+        {"dim": "2", "data": [[1, 0]] * 4},
+        {"dim": float("inf"), "data": []},
+        {"dim": 1, "data": [[{}, 0]]},
+        {"data": [[1, 0]]},
+    ],
+    ids=["fractional-dim", "bool-dim", "string-dim", "infinite-dim", "non-numeric-entry", "no-dim"],
+)
+def test_matrix_from_json_rejects_non_integer_dim_and_bad_entries(obj):
+    with pytest.raises(ValueError):
+        matrix_from_json(obj)
+
+
+def test_matrix_from_json_accepts_integral_float_dim():
+    assert approx_eq(matrix_from_json({"dim": 1.0, "data": [[2, 0]]}), mat([[2]]), 0.0)
+
+
 def test_default_tol_value():
     assert DEFAULT_TOL == 1e-9
