@@ -112,7 +112,7 @@ def _coerce(semiring: Semiring, value) -> Fraction | QC:
         if value.im != 0:
             raise ValueError(f"coefficient {value!r} is not real for {semiring.value}")
         value = value.re
-    coeff = Fraction(value)
+    coeff = value if type(value) is Fraction else Fraction(value)
     if semiring == Semiring.NONNEG_RATIONAL and coeff < 0:
         raise ValueError(f"coefficient {coeff} negative in {semiring.value}")
     if semiring == Semiring.UNIT_INTERVAL and not (0 <= coeff <= 1):
@@ -145,6 +145,9 @@ class FormalSum:
 
     ``terms`` is a tuple of (key, coefficient) pairs in a canonical order
     with no zero coefficients, so structural equality is semantic equality.
+    Keys may themselves be sums, nested several deep, so the hash and the
+    repr (which orders the terms of an enclosing sum) are computed once per
+    instance and cached; pickling drops both caches.
     """
 
     semiring: Semiring
@@ -172,11 +175,26 @@ class FormalSum:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.semiring, self.terms, self.distribution))
+        return h
+
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"FormalSum<{self.semiring.value}>(0)"
-        body = " + ".join(f"{c}|{k!r}>" for k, c in self.terms)
-        return f"FormalSum<{self.semiring.value}>({body})"
+        r = self.__dict__.get("_repr")
+        if r is None:
+            if not self.terms:
+                r = f"FormalSum<{self.semiring.value}>(0)"
+            else:
+                body = " + ".join(f"{c}|{k!r}>" for k, c in self.terms)
+                r = f"FormalSum<{self.semiring.value}>({body})"
+            self.__dict__["_repr"] = r
+        return r
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process: a cached hash must not travel
+        return {name: self.__dict__[name] for name in ("semiring", "terms", "distribution")}
 
 
 def formal_sum(

@@ -21,6 +21,8 @@ from .duality import DualityError, hs_forward, hs_inverse
 from .linalg import (
     DEFAULT_TOL,
     LinalgError,
+    entries_from_json,
+    int_from_json,
     matrix_from_json,
     matrix_to_json,
     max_norm,
@@ -116,16 +118,14 @@ def _parse_channel(obj, tol: float, seed: int) -> Channel:
             parts = [_parse_channel(p, tol, seed) for p in obj["parts"]]
             return mixture_channel(weights, parts, tol)
         if kind == "super":
-            dim_in = int(obj["dim_in"])
-            dim_out = int(obj["dim_out"])
+            dim_in = int_from_json(obj["dim_in"], "super channel dim_in")
+            dim_out = int_from_json(obj["dim_out"], "super channel dim_out")
             m = obj["matrix"]
-            rows, cols = int(m["rows"]), int(m["cols"])
-            data = m["data"]
-            if len(data) != rows * cols:
-                raise _InputError(f"super matrix data must list {rows * cols} entries")
-            M = np.array(
-                [complex(float(p[0]), float(p[1])) for p in data], dtype=np.complex128
-            ).reshape(rows, cols)
+            rows = int_from_json(m["rows"], "super matrix rows")
+            cols = int_from_json(m["cols"], "super matrix cols")
+            if rows < 0 or cols < 0:
+                raise _InputError("super matrix rows and cols must be >= 0")
+            M = entries_from_json(m["data"], rows * cols, "super matrix").reshape(rows, cols)
             return super_channel(dim_in, dim_out, M, tol, seed=seed)
     except _InputError:
         raise

@@ -35,6 +35,10 @@ class EffectInstance:
     tolerance-based); ``scalar_mul`` is the optional [0, 1]-action taking an
     exact Fraction scalar; ``sampler`` draws a seed-deterministic element;
     ``universe`` enumerates the carrier when that is feasible.
+
+    ``ovee``, ``orth`` and ``eq`` must be pure: the same arguments always
+    give the same result, with no side effects.  ``law_suite`` relies on
+    this when it computes each pair sum once and reuses it across laws.
     """
 
     name: str
@@ -240,6 +244,9 @@ class LawReport:
 
 _EXHAUSTIVE_CAP = 40
 
+#: marks a pair sum not yet computed (None means "undefined")
+_MISSING = object()
+
 
 def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[list, bool]:
     if inst.universe is not None and len(inst.universe) <= _EXHAUSTIVE_CAP:
@@ -272,33 +279,51 @@ def law_suite(
     law reports how many instances were checked and the first counterexample
     found, if any.  Carrier equality is the instance's own ``eq``; ``tol`` is
     recorded in the report for downstream thresholds.
+
+    Cost: each ordered pair of pool elements is summed at most once per run
+    and shared by every law that needs it, so an exhaustive pool of n
+    elements costs n² pair sums.  Associativity holds vacuously where
+    y (+) z is undefined, so it visits only the triples (x, y, z) with
+    y (+) z defined; ``checked`` still counts all of them (n³, or the number
+    of sampled triples), or gives the 1-based x-major position of the first
+    failing triple.
     """
     pool, exhaustive = _element_pool(inst, samples, seed)
     rng = np.random.default_rng(seed)
     n = len(pool)
 
+    # pairs and triples hold pool indices
     if exhaustive:
-        pairs = [(x, y) for x in pool for y in pool]
-        triples = [(x, y, z) for x in pool for y in pool for z in pool]
+        pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
         def pick():
-            return pool[int(rng.integers(0, n))]
+            return int(rng.integers(0, n))
 
         pairs = [(pick(), pick()) for _ in range(samples)]
         triples = [(pick(), pick(), pick()) for _ in range(samples)]
 
+    sums: dict = {}
+
+    def pair_sum(i: int, j: int):
+        """pool[i] (+) pool[j], computed once per run."""
+        s = sums.get((i, j), _MISSING)
+        if s is _MISSING:
+            s = sums[i, j] = inst.ovee(pool[i], pool[j])
+        return s
+
     entries: list[LawEntry] = []
 
-    def run(law: str, instances: Iterable, check: Callable) -> None:
-        checked = 0
-        failure = None
-        for case in instances:
-            checked += 1
+    def record(law: str, total: int, cases: Iterable, check: Callable) -> None:
+        # cases yields (1-based position, args); the first failure ends the law
+        for position, case in cases:
             msg = check(*case)
             if msg is not None:
-                failure = msg
-                break
-        entries.append(LawEntry(law, failure is None, checked, failure))
+                entries.append(LawEntry(law, False, position, msg))
+                return
+        entries.append(LawEntry(law, True, total, None))
+
+    def run(law: str, instances: list, check: Callable) -> None:
+        record(law, len(instances), enumerate(instances, 1), check)
 
     d = inst.describe
 
@@ -310,23 +335,25 @@ def law_suite(
             return f"0 (+) x != x for x = {d(x)}"
         return None
 
-    def chk_comm(x, y):
-        s1 = inst.ovee(x, y)
-        s2 = inst.ovee(y, x)
+    def chk_comm(i, j):
+        s1 = pair_sum(i, j)
+        s2 = pair_sum(j, i)
+        x, y = pool[i], pool[j]
         if (s1 is None) != (s2 is None):
             return f"definedness of x (+) y differs from y (+) x for x = {d(x)}, y = {d(y)}"
         if s1 is not None and not inst.eq(s1, s2):
             return f"x (+) y != y (+) x for x = {d(x)}, y = {d(y)}"
         return None
 
-    def chk_assoc(x, y, z):
-        yz = inst.ovee(y, z)
+    def chk_assoc(i, j, k):
+        yz = pair_sum(j, k)
         if yz is None:
             return None
+        x, y, z = pool[i], pool[j], pool[k]
         x_yz = inst.ovee(x, yz)
         if x_yz is None:
             return None
-        xy = inst.ovee(x, y)
+        xy = pair_sum(i, j)
         if xy is None:
             return f"x (+) y undefined although x (+) (y (+) z) is defined: x = {d(x)}, y = {d(y)}, z = {d(z)}"
         xy_z = inst.ovee(xy, z)
@@ -345,8 +372,7 @@ def law_suite(
             return f"x (+) orth(x) != 1 for x = {d(x)}"
         return None
 
-    def chk_orth_unique(x, y):
-        s = inst.ovee(x, y)
+    def chk_orth_unique(x, y, s):
         if s is None or not inst.eq(s, inst.one):
             return None
         if not inst.eq(y, inst.orth(x)):
@@ -359,14 +385,28 @@ def law_suite(
             return f"x (+) 1 defined for x != 0: x = {d(x)}"
         return None
 
+    if exhaustive:
+        # x-major over the (y, z) pairs with y (+) z defined; triple
+        # (i, j, k) sits at position i n² + j n + k + 1
+        defined = [(j, k) for j, k in pairs if pair_sum(j, k) is not None]
+        assoc_total = n**3
+        assoc_cases = (
+            (i * n * n + j * n + k + 1, (i, j, k)) for i in range(n) for j, k in defined
+        )
+    else:
+        assoc_total = len(triples)
+        assoc_cases = enumerate(triples, 1)
+
     run("zero-unit", [(x,) for x in pool], chk_zero)
     run("commutativity", pairs, chk_comm)
-    run("associativity", triples, chk_assoc)
+    record("associativity", assoc_total, assoc_cases, chk_assoc)
     run("orthosupplement-exists", [(x,) for x in pool], chk_orth_exists)
     # include the constructed complement pairs so the uniqueness law is
     # exercised even when random pairs rarely sum to 1
-    unique_pairs = list(pairs) + [(x, inst.orth(x)) for x in pool]
-    run("orthosupplement-unique", unique_pairs, chk_orth_unique)
+    complements = [(x, inst.orth(x)) for x in pool]
+    unique_cases = [(pool[i], pool[j], pair_sum(i, j)) for i, j in pairs]
+    unique_cases += [(x, xo, inst.ovee(x, xo)) for x, xo in complements]
+    run("orthosupplement-unique", unique_cases, chk_orth_unique)
     run("one-maximal", [(x,) for x in pool], chk_one_maximal)
 
     if inst.scalar_mul is not None:
@@ -384,11 +424,12 @@ def law_suite(
                 return f"(r s) . x != r . (s . x) for r = {r}, s = {s}, x = {d(x)}"
             return None
 
-        def chk_scalar_distrib_elem(i, x, y):
+        def chk_scalar_distrib_elem(i, a, b):
             r = scalars[i % len(scalars)]
-            s = inst.ovee(x, y)
+            s = pair_sum(a, b)
             if s is None:
                 return None
+            x, y = pool[a], pool[b]
             lhs = inst.ovee(smul(r, x), smul(r, y))
             if lhs is None:
                 return f"r.x (+) r.y undefined although x (+) y defined: r = {r}, x = {d(x)}, y = {d(y)}"
@@ -411,7 +452,7 @@ def law_suite(
         run("scalar-associativity", [(i, x) for i, x in enumerate(pool)], chk_scalar_assoc)
         run(
             "scalar-distributes-over-sum",
-            [(i, x, y) for i, (x, y) in enumerate(pairs)],
+            [(i, a, b) for i, (a, b) in enumerate(pairs)],
             chk_scalar_distrib_elem,
         )
         run(

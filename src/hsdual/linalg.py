@@ -66,7 +66,7 @@ def zeros(dim: int) -> np.ndarray:
 
 def max_norm(A: np.ndarray) -> float:
     """Entrywise max-norm, the repo-wide yardstick for approximate equality."""
-    return float(np.max(np.abs(A)))
+    return float(np.abs(A).max())
 
 
 def trace(A: np.ndarray) -> complex:
@@ -219,6 +219,34 @@ def matrix_to_json(A: np.ndarray) -> dict:
     return {"dim": n, "data": [[float(z.real), float(z.imag)] for z in flat]}
 
 
+def int_from_json(value, what: str) -> int:
+    """An integer field of a JSON document: an int or an integral float.
+
+    Booleans, strings and fractional or non-finite floats raise ValueError
+    naming ``what``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def entries_from_json(data, count: int, what: str) -> np.ndarray:
+    """``count`` complex entries from a JSON list of [re, im] number pairs."""
+    if not isinstance(data, list) or len(data) != count:
+        raise ValueError(f"{what} data must list {count} [re, im] pairs")
+    flat = []
+    for pair in data:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"{what} entries must be [re, im] pairs")
+        try:
+            flat.append(complex(float(pair[0]), float(pair[1])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what} entries must be numbers: {exc}") from exc
+    return np.array(flat, dtype=np.complex128)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object with 'dim' and 'data'")
@@ -227,21 +255,7 @@ def matrix_from_json(obj) -> np.ndarray:
         data = obj["data"]
     except KeyError as exc:
         raise ValueError(f"malformed matrix JSON: missing {exc}") from exc
-    if isinstance(dim, float) and dim.is_integer():
-        dim = int(dim)
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError(f"matrix JSON dim must be an integer, got {dim!r}")
+    dim = int_from_json(dim, "matrix JSON dim")
     if dim < 1:
         raise ValueError("matrix JSON must have dim >= 1")
-    if not isinstance(data, list) or len(data) != dim * dim:
-        raise ValueError(f"matrix JSON data must list {dim * dim} [re, im] pairs")
-    flat = []
-    for pair in data:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError("matrix JSON entries must be [re, im] pairs")
-        try:
-            flat.append(complex(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"matrix JSON entries must be numbers: {exc}") from exc
-    A = np.array(flat, dtype=np.complex128).reshape(dim, dim)
-    return as_matrix(A)
+    return as_matrix(entries_from_json(data, dim * dim, "matrix JSON").reshape(dim, dim))

@@ -1,10 +1,16 @@
 """Formal sums: exact semiring arithmetic, monad structure, carriers."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsdual
 from hsdual.algebra import (
     QC,
     CoefficientOverflow,
@@ -225,3 +231,60 @@ def test_monad_law_suite_is_clean():
     assert result["checked"] > 1000
     # unit-interval partiality: some nested sums overflow [0,1] and are skipped
     assert result["skipped"] > 0
+
+
+
+# --- cached hash and repr -------------------------------------------------------
+
+
+def _nested_sum():
+    """A sum of sums of str keys, so every hash below depends on the str salt."""
+    inner = [formal_sum(R, [("a", 1), ("b", Fraction(1, 2))]), unit("c")]
+    return formal_sum(R, [(inner[0], 2), (inner[1], Fraction(-1, 3))])
+
+
+def test_equal_formal_sums_hash_equal():
+    a = formal_sum(R, [("a", 1), ("b", Fraction(1, 2))])
+    hash(a), repr(a)  # fill a's caches before b exists
+    b = formal_sum(R, [("b", Fraction(2, 4)), ("a", 1), ("c", 0)])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    outer = _nested_sum()
+    hash(outer)
+    assert outer == _nested_sum() and hash(outer) == hash(_nested_sum())
+    assert {outer: 1}[_nested_sum()] == 1
+
+
+_LOOKUP_IN_CHILD = """
+import pickle, sys
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {tests!r})
+from test_algebra import _nested_sum
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = _nested_sum()
+assert loaded == fresh
+assert hash(loaded) == hash(fresh)
+assert {{fresh: "found"}}[loaded] == "found"
+print(hash("a"))
+"""
+
+
+def test_pickled_formal_sum_keys_a_dict_in_another_process():
+    outer = _nested_sum()
+    hash(outer), repr(outer)  # cached before pickling
+    payload = pickle.dumps(outer)
+    src = str(Path(hsdual.__file__).resolve().parents[1])
+    script = _LOOKUP_IN_CHILD.format(src=src, tests=str(Path(__file__).resolve().parent))
+    salts = set()
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=payload,
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        salts.add(proc.stdout.strip())
+    # the two children salt str hashes differently, so at least one differs
+    # from this process too
+    assert len(salts) == 2
+

@@ -232,3 +232,61 @@ def test_module_entry_point(half_identity):
     )
     assert proc.returncode == 0
     assert "Density" in json.loads(proc.stdout)["kinds"]
+
+
+
+def _super_doc(dim_in, dim_out, rows, cols, data):
+    matrix = {"rows": rows, "cols": cols, "data": data}
+    return {"type": "super", "dim_in": dim_in, "dim_out": dim_out, "matrix": matrix}
+
+
+#: the identity channel on a qubit and the trace channel from a qubit
+_IDENTITY_DATA = [[1.0 if r == c else 0.0, 0.0] for r in range(4) for c in range(4)]
+_TRACE_DATA = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+def test_super_channel_identity_passes(capsys, tmp_path):
+    channel = tmp_path / "super.json"
+    channel.write_text(json.dumps(_super_doc(2, 2, 4, 4, _IDENTITY_DATA)))
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    code, out, _ = _run(capsys, ["wp", "--channel", str(channel), "--effect", effect_path])
+    assert code == 0
+    data = json.loads(out)["wp"]["data"]
+    assert abs(data[0][0] - 1.0) < 1e-9 and abs(data[3][0]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _super_doc(2.7, 2, 4, 4, _IDENTITY_DATA),
+        _super_doc(2, True, 1, 4, _TRACE_DATA),
+        _super_doc(2.7, True, 1, 4, _TRACE_DATA),
+        _super_doc(2, 2, "4", 4, _IDENTITY_DATA),
+        _super_doc(2, 2, 4, None, _IDENTITY_DATA),
+        _super_doc(2, 2, -4, -4, _IDENTITY_DATA),
+        _super_doc(2, 2, 4, 4, _IDENTITY_DATA[:15]),
+        _super_doc(2, 2, 4, 4, [[1, 0, 0]] * 16),
+        _super_doc(2, 2, 4, 4, [["x", 0]] * 16),
+    ],
+    ids=[
+        "dim_in 2.7",
+        "dim_out true",
+        "dim_in 2.7 and dim_out true",
+        "rows string",
+        "cols null",
+        "negative rows and cols",
+        "short data",
+        "triple entries",
+        "non-numeric entries",
+    ],
+)
+def test_malformed_super_channel_exits_two(capsys, tmp_path, doc):
+    channel = tmp_path / "super.json"
+    channel.write_text(json.dumps(doc))
+    # an effect that fits the output of the channel as int() would read it
+    effect = [[1]] if doc["matrix"]["rows"] == 1 else [[1, 0], [0, 0]]
+    effect_path = _write_matrix(tmp_path / "effect.json", effect)
+    code, out, err = _run(capsys, ["wp", "--channel", str(channel), "--effect", effect_path])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err

@@ -5,10 +5,12 @@ pass; a deliberately broken instance (wrong orthosupplement) checks that the
 suite actually finds counterexamples instead of rubber-stamping.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsdual.effect import (
     EffectInstance,
@@ -148,6 +150,211 @@ def test_law_suite_catches_wrong_orthosupplement():
     assert unique.counterexample is not None
     # the bogus complement only works at x = 0, so existence breaks too
     assert not report.entry("orthosupplement-exists").passed
+
+
+# --- the report contract under planted bugs ---------------------------------------
+#
+# A plain re-statement of what law_suite reports: every law runs over
+# materialised pairs and triples in x-major order, each triple is summed
+# afresh with four ovee calls, and ``checked`` is the number of cases seen
+# up to and including the first failure.  law_suite may share work between
+# laws, but on every pure instance its report must equal this one.
+
+
+def _first_failure(cases, check):
+    checked = 0
+    for case in cases:
+        checked += 1
+        msg = check(*case)
+        if msg is not None:
+            return False, checked, msg
+    return True, checked, None
+
+
+def _reference_entries(inst, samples, seed):
+    rng = np.random.default_rng(seed)
+    if inst.universe is not None and len(inst.universe) <= 40:
+        pool = list(inst.universe)
+        pairs = [(x, y) for x in pool for y in pool]
+        triples = [(x, y, z) for x in pool for y in pool for z in pool]
+    else:
+        pool = [inst.sampler(seed + i) for i in range(samples)] + [inst.zero, inst.one]
+
+        def pick():
+            return pool[int(rng.integers(0, len(pool)))]
+
+        pairs = [(pick(), pick()) for _ in range(samples)]
+        triples = [(pick(), pick(), pick()) for _ in range(samples)]
+    ovee, eq, orth, d = inst.ovee, inst.eq, inst.orth, inst.describe
+    zero, one = inst.zero, inst.one
+
+    def zero_unit(x):
+        s = ovee(zero, x)
+        if s is None:
+            return f"0 (+) x undefined for x = {d(x)}"
+        return None if eq(s, x) else f"0 (+) x != x for x = {d(x)}"
+
+    def comm(x, y):
+        s1, s2 = ovee(x, y), ovee(y, x)
+        if (s1 is None) != (s2 is None):
+            return f"definedness of x (+) y differs from y (+) x for x = {d(x)}, y = {d(y)}"
+        if s1 is not None and not eq(s1, s2):
+            return f"x (+) y != y (+) x for x = {d(x)}, y = {d(y)}"
+        return None
+
+    def assoc(x, y, z):
+        yz = ovee(y, z)
+        x_yz = None if yz is None else ovee(x, yz)
+        if x_yz is None:
+            return None
+        where = f"x = {d(x)}, y = {d(y)}, z = {d(z)}"
+        xy = ovee(x, y)
+        if xy is None:
+            return f"x (+) y undefined although x (+) (y (+) z) is defined: {where}"
+        xy_z = ovee(xy, z)
+        if xy_z is None:
+            return f"(x (+) y) (+) z undefined although x (+) (y (+) z) is defined: {where}"
+        return None if eq(x_yz, xy_z) else f"associativity fails for {where}"
+
+    def orth_exists(x):
+        s = ovee(x, orth(x))
+        if s is None:
+            return f"x (+) orth(x) undefined for x = {d(x)}"
+        return None if eq(s, one) else f"x (+) orth(x) != 1 for x = {d(x)}"
+
+    def orth_unique(x, y):
+        s = ovee(x, y)
+        if s is None or not eq(s, one) or eq(y, orth(x)):
+            return None
+        return f"x (+) y = 1 but y != orth(x) for x = {d(x)}, y = {d(y)}"
+
+    def one_maximal(x):
+        if ovee(x, one) is not None and not eq(x, zero):
+            return f"x (+) 1 defined for x != 0: x = {d(x)}"
+        return None
+
+    singles = [(x,) for x in pool]
+    entries = [
+        ("zero-unit", *_first_failure(singles, zero_unit)),
+        ("commutativity", *_first_failure(pairs, comm)),
+        ("associativity", *_first_failure(triples, assoc)),
+        ("orthosupplement-exists", *_first_failure(singles, orth_exists)),
+        ("orthosupplement-unique", *_first_failure(pairs + [(x, orth(x)) for x in pool], orth_unique)),
+        ("one-maximal", *_first_failure(singles, one_maximal)),
+    ]
+    if inst.scalar_mul is None:
+        return entries
+    smul = inst.scalar_mul
+    grid = [Fraction(k, 8) for k in range(9)]
+    scalars = [grid[int(rng.integers(0, len(grid)))] for _ in range(max(len(pairs), 1))]
+
+    def scalar_at(i):
+        return scalars[i % len(scalars)]
+
+    def scalar_unit(x):
+        return None if eq(smul(Fraction(1), x), x) else f"1 . x != x for x = {d(x)}"
+
+    def scalar_assoc(i, x):
+        r, s = scalar_at(i), scalar_at(i * 7 + 3)
+        if eq(smul(r * s, x), smul(r, smul(s, x))):
+            return None
+        return f"(r s) . x != r . (s . x) for r = {r}, s = {s}, x = {d(x)}"
+
+    def distrib_elem(i, x, y):
+        r, s = scalar_at(i), ovee(x, y)
+        if s is None:
+            return None
+        lhs = ovee(smul(r, x), smul(r, y))
+        if lhs is None:
+            return f"r.x (+) r.y undefined although x (+) y defined: r = {r}, x = {d(x)}, y = {d(y)}"
+        if not eq(lhs, smul(r, s)):
+            return f"r.(x (+) y) != r.x (+) r.y for r = {r}, x = {d(x)}, y = {d(y)}"
+        return None
+
+    def distrib_scalar(i, x):
+        r, s = scalar_at(i), scalar_at(i * 5 + 1)
+        if r + s > 1:
+            return None
+        lhs = ovee(smul(r, x), smul(s, x))
+        if lhs is None:
+            return f"r.x (+) s.x undefined although r + s <= 1: r = {r}, s = {s}, x = {d(x)}"
+        if not eq(lhs, smul(r + s, x)):
+            return f"(r + s).x != r.x (+) s.x for r = {r}, s = {s}, x = {d(x)}"
+        return None
+
+    indexed = list(enumerate(pool))
+    return entries + [
+        ("scalar-unit", *_first_failure(singles, scalar_unit)),
+        ("scalar-associativity", *_first_failure(indexed, scalar_assoc)),
+        (
+            "scalar-distributes-over-sum",
+            *_first_failure([(i, x, y) for i, (x, y) in enumerate(pairs)], distrib_elem),
+        ),
+        ("scalar-sum-distributes", *_first_failure(indexed, distrib_scalar)),
+    ]
+
+
+def _assert_matches_reference(inst, samples=500, seed=0):
+    report = law_suite(inst, samples=samples, seed=seed)
+    got = [(e.law, e.passed, e.checked, e.counterexample) for e in report.entries]
+    assert got == _reference_entries(inst, samples, seed)
+    return report
+
+
+_SMALL_EXHAUSTIVE = {
+    "powerset-3": lambda: make_powerset(3),
+    "powerset-4": lambda: make_powerset(4),
+    "interval-5": lambda: make_unit_interval(5),
+}
+
+
+@st.composite
+def _planted_exhaustive(draw):
+    """A small exhaustive instance whose ovee is wrong on a few index pairs.
+
+    A planted pair yields either None or some other universe element; the
+    broken ovee stays a pure function of its arguments.
+    """
+    good = _SMALL_EXHAUSTIVE[draw(st.sampled_from(sorted(_SMALL_EXHAUSTIVE)))]()
+    universe = good.universe
+    index = {x: i for i, x in enumerate(universe)}
+    n = len(universe)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    planted = draw(
+        st.dictionaries(cells, st.one_of(st.none(), st.integers(0, n - 1)), max_size=6)
+    )
+
+    def ovee(x, y):
+        cell = (index.get(x), index.get(y))
+        if cell in planted:
+            wrong = planted[cell]
+            return None if wrong is None else universe[wrong]
+        return good.ovee(x, y)
+
+    return replace(good, name=f"planted-{good.name}", ovee=ovee)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(inst=_planted_exhaustive(), seed=st.integers(0, 2**31 - 1))
+def test_law_suite_matches_reference_under_planted_bugs(inst, seed):
+    _assert_matches_reference(inst, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+@pytest.mark.parametrize("bug", ["none", "asymmetric-definedness", "skewed-sum"])
+def test_sampled_law_suite_matches_reference(bug, seed):
+    good = make_effects(2)
+
+    def ovee(A, B):
+        if bug == "asymmetric-definedness" and A[0, 0].real > B[1, 1].real + 0.2:
+            return None
+        S = good.ovee(A, B)
+        if bug == "skewed-sum" and S is not None and B[0, 0].real > 0.5:
+            return S + 1e-3 * identity(2)
+        return S
+
+    report = _assert_matches_reference(replace(good, ovee=ovee), samples=40, seed=seed)
+    assert report.all_pass == (bug == "none")
 
 
 def test_law_report_json_shape():
