@@ -233,17 +233,23 @@ def int_from_json(value, what: str) -> int:
 
 
 def entries_from_json(data, count: int, what: str) -> np.ndarray:
-    """``count`` complex entries from a JSON list of [re, im] number pairs."""
+    """``count`` complex entries from a JSON list of [re, im] number pairs.
+
+    Each part must be a JSON number (int or float); booleans and strings
+    raise ValueError naming ``what``, as do integers too large for a float.
+    """
     if not isinstance(data, list) or len(data) != count:
         raise ValueError(f"{what} data must list {count} [re, im] pairs")
     flat = []
     for pair in data:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{what} entries must be [re, im] pairs")
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+            raise ValueError(f"{what} entries must be numbers, got {pair!r}")
         try:
             flat.append(complex(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{what} entries must be numbers: {exc}") from exc
+        except OverflowError as exc:
+            raise ValueError(f"{what} entry {pair!r} is out of range: {exc}") from exc
     return np.array(flat, dtype=np.complex128)
 
 

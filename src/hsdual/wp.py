@@ -93,20 +93,25 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Unitary:
     return Unitary(U)
 
 
+def _exact_weight(w) -> Fraction:
+    if isinstance(w, bool):
+        raise InvalidChannel(f"mixture weight {w!r} is not a number")
+    return Fraction(str(w)) if isinstance(w, float) else Fraction(w)
+
+
 def mixture_channel(weights, parts, tol: float = DEFAULT_TOL) -> Mixture:
     """Convex mixture of channels with exact distribution weights.
 
     ``weights`` is a FormalSum distribution keyed 0..k-1, or a plain list of
-    exact values summing to 1.
+    values summing to exactly 1: strings parse as fractions ("1/3"), floats
+    through their decimal literal (0.1 is 1/10), and booleans are refused.
     """
     parts = tuple(parts)
     if not parts:
         raise InvalidChannel("a mixture needs at least one part")
     if not isinstance(weights, FormalSum):
         weights = formal_sum(
-            Semiring.UNIT_INTERVAL,
-            [(i, Fraction(w) if not isinstance(w, float) else Fraction(str(w))) for i, w in enumerate(weights)],
-            distribution=True,
+            Semiring.UNIT_INTERVAL, [(i, _exact_weight(w)) for i, w in enumerate(weights)], distribution=True
         )
     if weights.semiring != Semiring.UNIT_INTERVAL or not weights.distribution:
         raise InvalidChannel("mixture weights must form an exact distribution")

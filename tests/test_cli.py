@@ -267,6 +267,8 @@ def test_super_channel_identity_passes(capsys, tmp_path):
         _super_doc(2, 2, 4, 4, _IDENTITY_DATA[:15]),
         _super_doc(2, 2, 4, 4, [[1, 0, 0]] * 16),
         _super_doc(2, 2, 4, 4, [["x", 0]] * 16),
+        _super_doc(2, 2, 4, 4, [[r == c, 0] for r in range(4) for c in range(4)]),
+        _super_doc(2, 2, 4, 4, [[str(x), y] for x, y in _IDENTITY_DATA]),
     ],
     ids=[
         "dim_in 2.7",
@@ -278,6 +280,8 @@ def test_super_channel_identity_passes(capsys, tmp_path):
         "short data",
         "triple entries",
         "non-numeric entries",
+        "bool entries",
+        "string entries",
     ],
 )
 def test_malformed_super_channel_exits_two(capsys, tmp_path, doc):
@@ -290,3 +294,74 @@ def test_malformed_super_channel_exits_two(capsys, tmp_path, doc):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_string_and_bool_matrix_entries_exit_two(capsys, tmp_path):
+    # float("0.5") and float(True) would read this as the density diag(1, 0.5)
+    doc = tmp_path / "mixed.json"
+    doc.write_text(json.dumps({"dim": 2, "data": [["0.5", False], [0, 0], [0, 0], [True, "0"]]}))
+    code, out, err = _run(capsys, ["classify", "--matrix", str(doc)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def _unitary_doc(rows):
+    return {"type": "unitary", "matrix": {"dim": len(rows), "data": [[x, 0] for row in rows for x in row]}}
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[True], [True, False], ["1/2", True], [None], ["x"], ["1/0"], [float("nan")], "1", {"0": 1}],
+    ids=[
+        "true",
+        "true and false",
+        "half and true",
+        "null",
+        "non-numeric string",
+        "zero denominator",
+        "nan",
+        "string",
+        "object",
+    ],
+)
+def test_malformed_mixture_weights_exit_two(capsys, tmp_path, weights):
+    count = len(weights) if isinstance(weights, list) else 1
+    parts = [_unitary_doc([[1, 0], [0, 1]])] * count
+    channel = tmp_path / "mixture.json"
+    channel.write_text(json.dumps({"type": "mixture", "weights": weights, "parts": parts}))
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    code, out, err = _run(capsys, ["wp", "--channel", str(channel), "--effect", effect_path])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_mixture_weights_strings_and_floats_pass(capsys, tmp_path):
+    parts = [_unitary_doc([[1, 0], [0, 1]]), _unitary_doc([[0, 1], [1, 0]])]
+    channel = tmp_path / "mixture.json"
+    channel.write_text(json.dumps({"type": "mixture", "weights": ["1/4", 0.75], "parts": parts}))
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    code, out, _ = _run(capsys, ["wp", "--channel", str(channel), "--effect", effect_path])
+    assert code == 0
+    data = json.loads(out)["wp"]["data"]
+    assert abs(data[0][0] - 0.25) < 1e-9 and abs(data[3][0] - 0.75) < 1e-9
+
+
+@pytest.mark.parametrize("which", ["matrix", "channel"])
+def test_undecodable_json_exits_two(capsys, tmp_path, which):
+    # an integer literal past Python's digit limit, and bytes that are not UTF-8
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 1, "data": [[' + "1" * 5000 + ", 0]]}")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"dim": 1, "data": [[1, 0]], "note": "\xe9"}')
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    for bad in (huge, latin):
+        if which == "matrix":
+            argv = ["classify", "--matrix", str(bad)]
+        else:
+            argv = ["wp", "--channel", str(bad), "--effect", effect_path]
+        code, out, err = _run(capsys, argv)
+        assert code == 2, bad
+        assert out == ""
+        assert "error:" in err

@@ -221,3 +221,40 @@ def test_naturality_random_triples():
         A = sample(B, dim, int(rng.integers(0, 2**62)))
         Bp = sample(B, dim, int(rng.integers(0, 2**62)))
         assert naturality_check(C, A, Bp) <= 1e-9
+
+
+# --- spot check against the reconstruction --------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_inverse_flags_affine_density_functional(dim):
+    # 0.5 + 0.5 tr(rho E) is 1 at E = I and in [0, 1] on effects, and it
+    # agrees with 0.5 I + 0.5 rho on every trace-one effect; only probes of
+    # other traces tell the offset from a linear functional
+    rho = sample(DM, dim, 5)
+    g = Functional(DM, dim, lambda E: 0.5 + 0.5 * trace(rho @ E), note="affine")
+    with pytest.raises(ContractViolation):
+        hs_inverse(DM, g)
+
+
+def test_inverse_flags_offset_bounded_functional():
+    A = sample(B, 3, 4)
+    f = Functional(B, 3, lambda Bm: 0.3 + trace(A @ Bm.conj().T), note="offset pairing")
+    with pytest.raises(ContractViolation):
+        hs_inverse(B, f)
+
+
+@pytest.mark.parametrize("kind", DUAL_KINDS, ids=lambda k: k.value)
+def test_inverse_total_evaluations(kind):
+    # 16 spot probes (plus f(I) for density) and dim^2 reconstruction probes
+    for dim in (1, 2, 3, 4):
+        f = hs_forward(kind, sample(kind, dim, dim))
+        calls = []
+
+        def counting(Bm, f=f):
+            calls.append(Bm)
+            return f(Bm)
+
+        hs_inverse(kind, Functional(kind, dim, counting))
+        extra = 17 if kind == DM else 16
+        assert len(calls) == extra + dim * dim, (kind, dim)

@@ -238,8 +238,23 @@ def test_matrix_from_json_rejects_malformed():
         {"dim": float("inf"), "data": []},
         {"dim": 1, "data": [[{}, 0]]},
         {"data": [[1, 0]]},
+        {"dim": 2, "data": [["0.5", False], [0, 0], [0, 0], [True, "0"]]},
+        {"dim": 1, "data": [[True, 0]]},
+        {"dim": 1, "data": [[0, "1"]]},
+        {"dim": 1, "data": [[10**400, 0]]},
     ],
-    ids=["fractional-dim", "bool-dim", "string-dim", "infinite-dim", "non-numeric-entry", "no-dim"],
+    ids=[
+        "fractional-dim",
+        "bool-dim",
+        "string-dim",
+        "infinite-dim",
+        "non-numeric-entry",
+        "no-dim",
+        "string-and-bool-entries",
+        "bool-entry",
+        "string-entry",
+        "integer-past-float-range",
+    ],
 )
 def test_matrix_from_json_rejects_non_integer_dim_and_bad_entries(obj):
     with pytest.raises(ValueError):
