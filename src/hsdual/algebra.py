@@ -308,15 +308,9 @@ def interpret(carrier: AlgebraCarrier, s: FormalSum):
             raise SemiringMismatch(
                 f"sum over {s.semiring.value} fed to a {carrier.semiring.value} module"
             )
-        acc = carrier.zero
-        for key, coeff in s.terms:
-            term = carrier.smul(_numeric(coeff), carrier.resolve(key))
-            acc = term if acc is None else carrier.add(acc, term)
-        return acc
-
-    if not s.distribution:
+    elif not s.distribution:
         raise NotDistribution("convex carriers interpret distributions only")
-    acc = None
+    acc = carrier.zero if carrier.kind == "module" else None
     for key, coeff in s.terms:
         term = carrier.smul(_numeric(coeff), carrier.resolve(key))
         acc = term if acc is None else carrier.add(acc, term)

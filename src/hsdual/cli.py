@@ -31,6 +31,7 @@ from .wp import (
     Channel,
     ChannelError,
     InvalidChannel,
+    NotDensity,
     apply_channel,
     mixture_channel,
     super_channel,
@@ -257,15 +258,28 @@ def _cmd_wp(args) -> tuple[dict, bool]:
     report = {"wp": matrix_to_json(W), "tol": args.tol}
     passed = True
     if args.check_duality:
+        # A sampled density that does not classify as one at --tol fails the
+        # check at its seed; it is not bad input.
         worst = 0.0
+        worst_seed = None
+        rejected = None
         for s in _seeds_from(args.seed, args.check_duality):
             rho = sample(OperatorKind.DENSITY, channel.dim_in, s)
-            lhs = np.trace(apply_channel(channel, rho, args.tol) @ A)
-            rhs = np.trace(rho @ W)
-            worst = max(worst, abs(complex(lhs) - complex(rhs)))
-        passed = worst <= args.tol
+            try:
+                lhs = np.trace(apply_channel(channel, rho, args.tol) @ A)
+            except NotDensity as exc:
+                worst_seed, rejected = s, str(exc)
+                break
+            r = abs(complex(lhs) - complex(np.trace(rho @ W)))
+            if r > worst:
+                worst, worst_seed = r, s
+        passed = rejected is None and worst <= args.tol
         report["duality_residual"] = worst
         report["pass"] = passed
+        if not passed:
+            report["counterexample_seed"] = worst_seed
+        if rejected is not None:
+            report["counterexample_error"] = rejected
     return report, passed
 
 

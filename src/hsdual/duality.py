@@ -150,9 +150,9 @@ def _spot_check(f: Functional, tol: float) -> tuple[np.ndarray, np.ndarray]:
     (bounded), (G + G^dagger)/2 (self-adjoint), G G^dagger (positive),
     G G^dagger / tr (densities, for the effect kind) and those densities
     times uniform factors in [0, 1) (effects, for the density kind).  Checks
-    the values alone: real for self-adjoint, nonnegative for positive, in
-    [0, 1] for effect and density, and f(I) = 1 for density (one more
-    evaluation).  Returns the read-only probe stack and the values, which
+    the values alone: real for self-adjoint, at least -tol tr(B) for
+    positive, in [0, 1] for effect and density, and f(I) = 1 for density (one
+    more evaluation).  Returns the read-only probe stack and the values, which
     hs_inverse compares with the reconstruction's pairing.
     """
     kind = f.kind
@@ -178,11 +178,14 @@ def _spot_check(f: Functional, tol: float) -> tuple[np.ndarray, np.ndarray]:
             probes = probes * rng.uniform(size=(16, 1, 1))
     probes.setflags(write=False)
     values = np.array([f(B) for B in probes], dtype=np.complex128)
-    for fB in values:
+    traces = np.einsum("bii->b", probes).real
+    for fB, trB in zip(values, traces):
         scale = max(1.0, abs(fB))
         if kind == OperatorKind.SELF_ADJOINT and abs(fB.imag) > tol * scale:
             fail("real-valuedness", abs(fB.imag))
-        elif kind == OperatorKind.POSITIVE and fB.real < -tol * scale:
+        elif kind == OperatorKind.POSITIVE and fB.real < -tol * max(scale, trB):
+            # classify admits eigenvalues down to -tol, and tr(A B) >= -tol tr(B)
+            # is all that promises on a positive probe B.
             fail("nonnegativity", -fB.real)
         elif kind in (OperatorKind.EFFECT, OperatorKind.DENSITY) and (
             fB.real < -tol or fB.real > 1.0 + tol or abs(fB.imag) > tol

@@ -21,7 +21,7 @@ all reals; real pairs give the complex numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -79,23 +79,16 @@ def s_point(weight: float, point) -> WeightedPoint:
     return WeightedPoint(float(weight), point)
 
 
-def _linear_mix(r: float, x, y):
-    """Default convex combination r*x + (1-r)*y (matrices and scalars)."""
-    return r * x + (1.0 - r) * y
-
-
-def s_add(
-    u: WeightedPoint,
-    v: WeightedPoint,
-    mix: Callable[[float, Any, Any], Any] = _linear_mix,
-) -> WeightedPoint:
-    """Add weights; the points combine convexly in proportion to them."""
+def s_add(u: WeightedPoint, v: WeightedPoint) -> WeightedPoint:
+    """Add weights; the points combine convexly in proportion to them,
+    r*x + (1-r)*y with r = u.weight / total (matrices and scalars)."""
     if u.is_zero:
         return v
     if v.is_zero:
         return u
     total = u.weight + v.weight
-    return WeightedPoint(total, mix(u.weight / total, u.point, v.point))
+    r = u.weight / total
+    return WeightedPoint(total, r * u.point + (1.0 - r) * v.point)
 
 
 def s_smul(r: float, u: WeightedPoint) -> WeightedPoint:

@@ -5,7 +5,9 @@ values: every function returns a fresh array and never mutates its input.
 The eigensolver is a cyclic Jacobi iteration with complex 2x2 rotations; it
 is deliberately written out in full rather than delegated, so its numerical
 behaviour (convergence criterion, sweep budget, eigenvalue ordering) is
-pinned down by this module alone.
+pinned down by this module alone.  ``hermitian_eig`` is the package's only
+way to ask for a spectrum: it checks Hermiticity at the caller's tolerance,
+symmetrizes its input and converges to min(tol, EIG_TOL).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 #: which keeps an absolute threshold meaningful.
 DEFAULT_TOL = 1e-9
 
-#: Convergence target used for *internal* eigendecompositions (classification,
-#: spectral splits, duality probes).  Kept well below DEFAULT_TOL so that
-#: solver noise never decides a membership question.
+#: Ceiling on ``hermitian_eig``'s convergence target, which is
+#: min(tol, EIG_TOL).  Kept well below DEFAULT_TOL so that solver noise never
+#: decides a membership question.
 EIG_TOL = 1e-12
 
 _MAX_SWEEPS = 100
@@ -130,9 +132,11 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     The input must be Hermitian within tol (max-norm), else NotHermitian is
-    raised.  Sweeps over all index pairs apply 2x2 unitary rotations until the
-    off-diagonal Frobenius mass drops to tol times the diagonal mass; if 100
-    sweeps do not get there, NoConvergence is raised.
+    raised; callers pass their matrix as it is, and the solver works on its
+    exactly Hermitian part (A + A^dagger)/2.  Sweeps over all index pairs
+    apply 2x2 unitary rotations until the off-diagonal Frobenius mass drops to
+    min(tol, EIG_TOL) times the diagonal mass, so solver noise never decides a
+    threshold at tol; if 100 sweeps do not get there, NoConvergence is raised.
     """
     A = as_matrix(A)
     if not is_hermitian(A, tol):
@@ -140,8 +144,7 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
             f"matrix is not self-adjoint within {tol} (residual {max_norm(A - A.conj().T):.3e})"
         )
     n = A.shape[0]
-    # Work on the exactly-Hermitian part so rounding in the caller's input
-    # cannot leak into the iteration.
+    tol = min(tol, EIG_TOL)
     H = (A + A.conj().T) / 2.0
     V = np.eye(n, dtype=np.complex128)
 

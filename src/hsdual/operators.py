@@ -2,9 +2,11 @@
 
 A square complex matrix is graded into nested kinds: every matrix is bounded;
 self-adjoint, positive, effect, projection and density operators form
-successively constrained families.  Membership is decided spectrally (through
-the Jacobi solver in :mod:`hsdual.linalg`) with explicit tolerances, and each
-kind comes with a seed-deterministic sampler.
+successively constrained families.  Membership is decided spectrally with
+explicit tolerances, and each kind comes with a seed-deterministic sampler.
+Every spectrum comes from :func:`hsdual.linalg.hermitian_eig`, called with the
+caller's matrix and tol as they are: it owns the Hermiticity check, the
+symmetrization and the convergence target, min(tol, 1e-12).
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    EIG_TOL,
     LinalgError,
-    NotHermitian,
     as_matrix,
     hermitian_eig,
     identity,
@@ -92,10 +92,7 @@ def classify(A: np.ndarray, tol: float = DEFAULT_TOL) -> KindReport:
 
     if is_hermitian(A, tol):
         kinds.append(OperatorKind.SELF_ADJOINT)
-        # Run the solver tighter than the membership tolerance so spectral
-        # thresholds are never decided by solver noise; hand it the exactly
-        # Hermitian part so the tight precondition is satisfied.
-        dec = hermitian_eig((A + A.conj().T) / 2.0, tol=min(tol, EIG_TOL))
+        dec = hermitian_eig(A, tol)
         eigenvalues = tuple(float(x) for x in dec.eigenvalues)
 
         lo = eigenvalues[-1]
@@ -119,23 +116,11 @@ def pos_neg_split(A: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, 
 
     P collects the spectral components with nonnegative eigenvalue, N the
     negated negative ones; P and N act on orthogonal subspaces, so P @ N is
-    zero up to solver noise.
+    zero up to solver noise.  NotHermitian if A is not self-adjoint within tol.
     """
-    A = as_matrix(A)
-    if not is_hermitian(A, tol):
-        raise NotHermitian("pos_neg_split requires a self-adjoint matrix")
-    dec = hermitian_eig((A + A.conj().T) / 2.0, tol=EIG_TOL)
-    n = A.shape[0]
-    P = zeros(n)
-    N = zeros(n)
-    for lam, v in zip(dec.eigenvalues, dec.vectors.T):
-        col = v.reshape(n, 1)
-        block = col @ col.conj().T
-        if lam >= 0.0:
-            P += lam * block
-        else:
-            N += (-lam) * block
-    return P, N
+    dec = hermitian_eig(A, tol)
+    V, Vh, lam = dec.vectors, dec.vectors.conj().T, dec.eigenvalues
+    return (V * np.maximum(lam, 0.0)) @ Vh, (V * np.maximum(-lam, 0.0)) @ Vh
 
 
 def sa_components(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,13 +133,11 @@ def sa_components(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Loewner order: A <= B iff B - A has no eigenvalue below -tol."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    D = B - A
-    if not is_hermitian(D, tol):
-        raise NotHermitian("loewner_leq requires a self-adjoint difference")
-    dec = hermitian_eig((D + D.conj().T) / 2.0, tol=EIG_TOL)
+    """Loewner order: A <= B iff B - A has no eigenvalue below -tol.
+
+    NotHermitian if B - A is not self-adjoint within tol.
+    """
+    dec = hermitian_eig(as_matrix(B) - as_matrix(A), tol)
     return float(dec.eigenvalues[-1]) >= -tol
 
 
@@ -169,28 +152,18 @@ def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return G / np.sqrt(2.0 * dim)
 
 
-def _gram_schmidt(G: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of G (two passes for numerical stability)."""
-    n = G.shape[0]
-    Q = np.zeros_like(G, dtype=np.complex128)
-    for j in range(n):
-        v = G[:, j].astype(np.complex128).copy()
-        for _ in range(2):
-            for i in range(j):
-                v -= (Q[:, i].conj() @ v) * Q[:, i]
-        norm = float(np.sqrt((v.conj() @ v).real))
-        if norm < 1e-12:
-            raise ValueError("Gram-Schmidt hit a (numerically) dependent column")
-        Q[:, j] = v / norm
-    return Q
-
-
 def _unitary_from(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _gram_schmidt(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    r = np.diag(R)
+    if np.abs(r).min() < 1e-12:
+        raise ValueError("QR hit a (numerically) dependent column")
+    return Q * (r / np.abs(r))
 
 
 def sample_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seed-deterministic unitary: Gram-Schmidt applied to a complex Gaussian."""
+    """Seed-deterministic unitary: the Q of a complex Gaussian's QR with R's
+    diagonal made positive, which is unique and so equals Gram-Schmidt on the
+    Gaussian's columns.  Seeds replay within one version and NumPy build."""
     return _unitary_from(np.random.default_rng(seed), dim)
 
 
@@ -222,16 +195,12 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
     if kind == OperatorKind.EFFECT:
         G = _gaussian(rng, dim)
         H = (G + G.conj().T) / 2.0
-        dec = hermitian_eig(H, tol=EIG_TOL)
-        lo = float(dec.eigenvalues[-1])
-        hi = float(dec.eigenvalues[0])
+        eigs = hermitian_eig(H).eigenvalues
+        lo = float(eigs[-1])
+        hi = float(eigs[0])
         if hi - lo > 1e-9:
-            lam = (dec.eigenvalues - lo) / (hi - lo)
-        else:
-            lam = np.clip(dec.eigenvalues, 0.0, 1.0)
-        V = dec.vectors
-        E = (V * lam) @ V.conj().T
-        return (E + E.conj().T) / 2.0
+            return (H - lo * identity(dim)) / (hi - lo)
+        return float(np.clip(hi, 0.0, 1.0)) * identity(dim)
     if kind == OperatorKind.PROJECTION:
         U = _unitary_from(rng, dim)
         rank = int(rng.integers(0, dim + 1))

@@ -11,7 +11,10 @@ import sys
 
 import pytest
 
+from hsdual import cli
 from hsdual.cli import main
+from hsdual.linalg import identity
+from hsdual.operators import OperatorKind, classify, sample
 
 
 def _write_matrix(path, rows):
@@ -117,6 +120,43 @@ def test_wp_of_flip_channel(capsys, tmp_path, x_flip_channel):
     # wp under the bit flip sends |0><0| to |1><1|
     data = report["wp"]["data"]
     assert abs(data[0][0]) < 1e-9 and abs(data[3][0] - 1.0) < 1e-9
+
+
+def test_wp_check_duality_failure_names_worst_seed(capsys, tmp_path, x_flip_channel, monkeypatch):
+    # A wrong precondition: the identity instead of |1><1|.
+    monkeypatch.setattr(cli, "weakest_precondition", lambda channel, A, tol: identity(2))
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    argv = ["wp", "--channel", x_flip_channel, "--effect", effect_path, "--check-duality", "5"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is False
+    # tr(f(rho) |0><0|) - tr(rho I) = -<0|rho|0>, worst at the seed named
+    gaps = {s: abs(sample(OperatorKind.DENSITY, 2, s)[0, 0]) for s in cli._seeds_from(0, 5)}
+    seed = report["counterexample_seed"]
+    assert gaps[seed] == max(gaps.values())
+    assert report["duality_residual"] == pytest.approx(gaps[seed], abs=1e-12)
+    assert "counterexample_error" not in report
+
+
+def test_wp_check_duality_failure_on_rejected_sample(capsys, tmp_path):
+    # At --tol 1.115e-16 the channel and wp go through, but a sampled density
+    # misses trace 1 by more than tol; that fails the check, it is not bad input.
+    flip = {"type": "unitary", "matrix": {"dim": 2, "data": [[0, 0], [1, 0], [1, 0], [0, 0]]}}
+    keep = {"type": "unitary", "matrix": {"dim": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}}
+    channel = tmp_path / "mixture.json"
+    channel.write_text(json.dumps({"type": "mixture", "weights": ["1/3", "2/3"], "parts": [flip, keep]}))
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    argv = ["--tol", "1.115e-16", "wp", "--channel", str(channel), "--effect", effect_path,
+            "--check-duality", "5"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is False
+    seed = report["counterexample_seed"]
+    assert seed in cli._seeds_from(0, 5)
+    assert not classify(sample(OperatorKind.DENSITY, 2, seed), 1.115e-16).has(OperatorKind.DENSITY)
+    assert "density" in report["counterexample_error"]
 
 
 def test_byte_identical_reruns(capsys):

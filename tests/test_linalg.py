@@ -11,6 +11,7 @@ import pytest
 
 from hsdual.linalg import (
     DEFAULT_TOL,
+    EIG_TOL,
     DimensionMismatch,
     NoConvergence,
     NotHermitian,
@@ -184,6 +185,23 @@ def test_eig_invariants_on_random_input():
         assert max_norm(V.conj().T @ V - identity(dim)) < 1e-10
         assert max_norm(dec.reconstruct() - H) <= 1e-9 * max(1.0, max_norm(H))
         assert all(x >= y - 1e-12 for x, y in zip(dec.eigenvalues, dec.eigenvalues[1:]))
+
+
+def test_eig_owns_symmetrization_and_convergence_target():
+    # A looser tol relaxes only the Hermiticity check: the iteration still
+    # runs to EIG_TOL on (A + A^dagger)/2, so callers pass A and tol as is.
+    rng = np.random.default_rng(23)
+    for dim in (2, 4, 7):
+        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        H = (G + G.conj().T) / 2
+        A = H + 1e-9 * (G - G.conj().T)
+        tight = hermitian_eig((A + A.conj().T) / 2, tol=EIG_TOL)
+        for tol in (1e-7, 1e-4):
+            loose = hermitian_eig(A, tol=tol)
+            assert np.array_equal(loose.eigenvalues, tight.eigenvalues)
+            assert np.array_equal(loose.vectors, tight.vectors)
+        with pytest.raises(NotHermitian):
+            hermitian_eig(A, tol=1e-10)
 
 
 def test_eig_rejects_non_hermitian():
