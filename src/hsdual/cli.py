@@ -141,29 +141,34 @@ def _seeds_from(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**62, size=count)]
 
 
-def _residual_report(args, label: dict, residual) -> tuple[dict, bool]:
-    """Worst ``residual(seed)`` over ``args.seeds`` seeds drawn from ``args.seed``.
+def _seeded_check(
+    args, count: int, residual, report: dict, key: str = "max_residual"
+) -> tuple[dict, bool]:
+    """Add to ``report`` the verdict on ``residual(seed)`` over ``count`` seeds.
 
-    The report passes when the worst residual is within ``args.tol``; a failing
-    one names the seed of its first worst residual.
+    The check passes when the worst residual, reported under ``key``, is
+    within ``args.tol``.  A sample the residual drew itself that the library
+    rejects (DualityError, NotDensity) fails the check at its seed, with the
+    reason as ``counterexample_error``; it is not bad input.
     """
     worst = 0.0
     worst_seed = None
-    for s in _seeds_from(args.seed, args.seeds):
-        r = residual(s)
+    rejected = None
+    for s in _seeds_from(args.seed, count):
+        try:
+            r = residual(s)
+        except (DualityError, NotDensity) as exc:
+            worst_seed, rejected = s, str(exc)
+            break
         if r > worst:
             worst, worst_seed = r, s
-    passed = worst <= args.tol
-    report = {
-        **label,
-        "dim": args.dim,
-        "seeds": args.seeds,
-        "tol": args.tol,
-        "max_residual": worst,
-        "pass": passed,
-    }
+    passed = rejected is None and worst <= args.tol
+    report[key] = worst
+    report["pass"] = passed
     if not passed:
         report["counterexample_seed"] = worst_seed
+    if rejected is not None:
+        report["counterexample_error"] = rejected
     return report, passed
 
 
@@ -183,7 +188,8 @@ def _cmd_duality_roundtrip(args) -> tuple[dict, bool]:
         A = sample(kind, args.dim, s)
         return max_norm(hs_inverse(kind, hs_forward(kind, A, args.tol), args.tol) - A)
 
-    return _residual_report(args, {"kind": args.kind}, residual)
+    report = {"kind": args.kind, "dim": args.dim, "seeds": args.seeds, "tol": args.tol}
+    return _seeded_check(args, args.seeds, residual, report)
 
 
 def _cmd_laws(args) -> tuple[dict, bool]:
@@ -243,8 +249,9 @@ def _free_iso_residual(which: str, dim: int, s: int) -> float:
 
 
 def _cmd_free_iso(args) -> tuple[dict, bool]:
-    return _residual_report(
-        args, {"which": args.which}, lambda s: _free_iso_residual(args.which, args.dim, s)
+    report = {"which": args.which, "dim": args.dim, "seeds": args.seeds, "tol": args.tol}
+    return _seeded_check(
+        args, args.seeds, lambda s: _free_iso_residual(args.which, args.dim, s), report
     )
 
 
@@ -256,31 +263,15 @@ def _cmd_wp(args) -> tuple[dict, bool]:
     except (ChannelError, DualityError) as exc:
         raise _InputError(str(exc)) from exc
     report = {"wp": matrix_to_json(W), "tol": args.tol}
-    passed = True
-    if args.check_duality:
-        # A sampled density that does not classify as one at --tol fails the
-        # check at its seed; it is not bad input.
-        worst = 0.0
-        worst_seed = None
-        rejected = None
-        for s in _seeds_from(args.seed, args.check_duality):
-            rho = sample(OperatorKind.DENSITY, channel.dim_in, s)
-            try:
-                lhs = np.trace(apply_channel(channel, rho, args.tol) @ A)
-            except NotDensity as exc:
-                worst_seed, rejected = s, str(exc)
-                break
-            r = abs(complex(lhs) - complex(np.trace(rho @ W)))
-            if r > worst:
-                worst, worst_seed = r, s
-        passed = rejected is None and worst <= args.tol
-        report["duality_residual"] = worst
-        report["pass"] = passed
-        if not passed:
-            report["counterexample_seed"] = worst_seed
-        if rejected is not None:
-            report["counterexample_error"] = rejected
-    return report, passed
+    if not args.check_duality:
+        return report, True
+
+    def residual(s: int) -> float:
+        rho = sample(OperatorKind.DENSITY, channel.dim_in, s)
+        lhs = np.trace(apply_channel(channel, rho, args.tol) @ A)
+        return abs(complex(lhs) - complex(np.trace(rho @ W)))
+
+    return _seeded_check(args, args.check_duality, residual, report, "duality_residual")
 
 
 def _build_parser() -> argparse.ArgumentParser:

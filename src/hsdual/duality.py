@@ -3,9 +3,10 @@
 Every operator A induces a functional on its dual family: bounded operators
 pair through tr(A B^dagger) (conjugate-linear in B), the self-adjoint /
 positive families pair through tr(A B), effects pair against densities and
-densities against effects, both landing in [0, 1].  The reverse direction
-reconstructs the operator from black-box evaluations only, never inspecting
-the functional structurally.
+densities against effects, both landing in [0, 1].  ``_pair`` is the one
+place that computes it.  The reverse direction reconstructs the operator
+from black-box evaluations only, never inspecting the functional
+structurally.
 
 Reconstruction (dim^2 evaluations):
 
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, dagger, outer_unit, trace
+from .linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, dagger, outer_unit
 from .operators import OperatorKind, classify
 
 
@@ -81,33 +82,36 @@ class Functional:
         return complex(self.eval(B))
 
 
+def _pair(kind: OperatorKind, A: np.ndarray, B: np.ndarray):
+    """tr(A B^dagger) for the bounded kind, else tr(A B); B may be a stack."""
+    if kind == OperatorKind.BOUNDED:
+        return np.einsum("jk,...jk->...", A, B.conj())
+    return np.einsum("jk,...kj->...", A, B)
+
+
 def hs_forward(kind: OperatorKind, A: np.ndarray, tol: float = DEFAULT_TOL) -> Functional:
     """The trace-pairing functional induced by A within its kind.
 
     Raises KindMismatch when A does not classify as ``kind`` at tolerance
-    ``tol``.  For the bounded kind the pairing is B |-> tr(A B^dagger); for
-    every other kind it is B |-> tr(A B).
+    ``tol``.  For the bounded kind the pairing is B |-> tr(A B^dagger).  For
+    every other kind it is B |-> tr(H B) with H = (A + A^dagger)/2, the
+    Hermitian part that the classification judged: A need only be Hermitian
+    within tol, and H is within tol/2 of A.  So hs_inverse of the result
+    returns H, not A.
     """
     if kind not in DUAL_KINDS:
         raise KindMismatch(f"kind {kind} has no trace pairing")
     A = as_matrix(A)
     if not classify(A, tol).has(kind):
         raise KindMismatch(f"operator does not classify as {kind.value} at tol={tol}")
-    Astar = A.copy()
+    inducer = A.copy() if kind == OperatorKind.BOUNDED else (A + dagger(A)) / 2.0
     n = A.shape[0]
 
-    if kind == OperatorKind.BOUNDED:
-        def evaluate(B: np.ndarray) -> complex:
-            B = as_matrix(B)
-            if B.shape[0] != n:
-                raise DimensionMismatch(f"probe dim {B.shape[0]} != functional dim {n}")
-            return trace(Astar @ dagger(B))
-    else:
-        def evaluate(B: np.ndarray) -> complex:
-            B = as_matrix(B)
-            if B.shape[0] != n:
-                raise DimensionMismatch(f"probe dim {B.shape[0]} != functional dim {n}")
-            return trace(Astar @ B)
+    def evaluate(B: np.ndarray) -> complex:
+        B = as_matrix(B)
+        if B.shape[0] != n:
+            raise DimensionMismatch(f"probe dim {B.shape[0]} != functional dim {n}")
+        return complex(_pair(kind, inducer, B))
 
     return Functional(kind, n, evaluate, note=f"trace pairing against a {kind.value} operator")
 
@@ -181,9 +185,9 @@ def _spot_check(f: Functional, tol: float) -> tuple[np.ndarray, np.ndarray]:
     traces = np.einsum("bii->b", probes).real
     for fB, trB in zip(values, traces):
         scale = max(1.0, abs(fB))
-        if kind == OperatorKind.SELF_ADJOINT and abs(fB.imag) > tol * scale:
+        if kind == OperatorKind.SELF_ADJOINT and abs(fB.imag) / scale > tol:
             fail("real-valuedness", abs(fB.imag))
-        elif kind == OperatorKind.POSITIVE and fB.real < -tol * max(scale, trB):
+        elif kind == OperatorKind.POSITIVE and -fB.real / max(scale, trB) > tol:
             # classify admits eigenvalues down to -tol, and tr(A B) >= -tol tr(B)
             # is all that promises on a positive probe B.
             fail("nonnegativity", -fB.real)
@@ -223,12 +227,11 @@ def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> n
 
     if kind == OperatorKind.BOUNDED:
         A = _invert_bounded(f, f.dim)
-        paired = np.einsum("jk,bjk->b", A, probes.conj())
     else:
         A = _invert_hermitian(f, f.dim)
-        paired = np.einsum("jk,bkj->b", A, probes)
-    residual = np.abs(values - paired)
-    if not np.all(residual <= tol * np.maximum(1.0, np.abs(values))):
+    residual = np.abs(values - _pair(kind, A, probes))
+    # divided, since tol * max(1, |f(B)|) overflows for tol near the largest float
+    if not np.all(residual / np.maximum(1.0, np.abs(values)) <= tol):
         raise ContractViolation(
             f"{kind.value} functional disagrees with its reconstruction's trace pairing"
             f" on a spot probe (residual {residual.max():.3e})"
@@ -252,8 +255,8 @@ def naturality_check(C: np.ndarray, A: np.ndarray, B: np.ndarray, tol: float = D
     B = as_matrix(B)
     if not (C.shape == A.shape == B.shape):
         raise DimensionMismatch("naturality_check requires equal dimensions")
-    lhs = trace(dagger(C) @ A @ C @ dagger(B))
-    rhs = trace(A @ dagger(C @ B @ dagger(C)))
+    lhs = _pair(OperatorKind.BOUNDED, dagger(C) @ A @ C, B)
+    rhs = _pair(OperatorKind.BOUNDED, A, C @ B @ dagger(C))
     return abs(lhs - rhs)
 
 

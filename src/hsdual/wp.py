@@ -3,9 +3,12 @@
 A channel maps density operators to density operators affinely.  Three
 shapes are supported: conjugation by a unitary, a convex mixture of
 channels, and a raw superoperator matrix acting on row-major vectorized
-densities.  Complete positivity is deliberately not required -- validity is
-trace preservation plus positivity, spot-checked on sampled densities for
-the raw form.
+densities.  They share one semantics: ``to_super`` turns any of them into
+its superoperator, and every action on a density (``apply_channel``, the
+validation of the raw form, the pre-expectation inside ``wp``) is a matvec
+with that matrix.  Complete positivity is deliberately not required --
+validity is trace preservation plus positivity, spot-checked on 20 sampled
+densities for the raw form.
 
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
@@ -23,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import FormalSum, Semiring, formal_sum
+from .algebra import FormalSum, Semiring, convex_state_carrier, formal_sum, interpret
 from .duality import Functional, NotInKind, hs_inverse
 from .linalg import DEFAULT_TOL, as_matrix, identity, max_norm, trace
 from .operators import OperatorKind, classify, sample
@@ -123,19 +126,22 @@ def mixture_channel(weights, parts, tol: float = DEFAULT_TOL) -> Mixture:
     return Mixture(weights, parts)
 
 
+#: Seeded densities on which super_channel validates a raw superoperator.
+VALIDATION_SAMPLES = 20
+
+
 def super_channel(
     dim_in: int,
     dim_out: int,
     matrix: np.ndarray,
     tol: float = DEFAULT_TOL,
-    samples: int = 20,
     seed: int = 0,
 ) -> Super:
     """A raw superoperator, validated behaviourally on sampled densities.
 
-    For ``samples`` seeded densities rho the image must have unit trace
-    within tol and no eigenvalue below -tol.  Complete positivity is not
-    demanded.
+    For VALIDATION_SAMPLES (20) densities rho, seeded ``seed``, ``seed + 1``,
+    ..., the image must have unit trace within tol and no eigenvalue below
+    -tol.  Complete positivity is not demanded.
     """
     M = np.asarray(matrix, dtype=np.complex128)
     if M.shape != (dim_out * dim_out, dim_in * dim_in):
@@ -144,10 +150,8 @@ def super_channel(
         )
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise InvalidChannel("superoperator entries must be finite")
-    ch = Super(dim_in, dim_out, M)
-    for i in range(samples):
-        rho = sample(OperatorKind.DENSITY, dim_in, seed + i)
-        out = _apply_unchecked(ch, rho)
+    for i in range(VALIDATION_SAMPLES):
+        out = _act(M, sample(OperatorKind.DENSITY, dim_in, seed + i), dim_out)
         if abs(trace(out) - 1.0) > tol:
             raise InvalidChannel(
                 f"trace not preserved on sampled density #{i}: tr = {trace(out):.12g}"
@@ -155,22 +159,31 @@ def super_channel(
         report = classify(out, tol)
         if not report.has(OperatorKind.POSITIVE):
             raise InvalidChannel(f"positivity violated on sampled density #{i}")
-    return ch
+    return Super(dim_in, dim_out, M)
 
 
-def _apply_unchecked(ch: Channel, rho: np.ndarray) -> np.ndarray:
+def to_super(ch: Channel) -> np.ndarray:
+    """The channel's matrix on row-major vectorized operators.
+
+    This is the only place that reads a channel's shape; everything else acts
+    through the matrix it returns.  For conjugation by U it is kron(U,
+    conj(U)), because row-major vectorization turns A B C into
+    (A kron C^T) vec(B); a mixture is the convex combination of its parts'
+    matrices; a raw superoperator is its own matrix (copied).
+    """
     if isinstance(ch, Unitary):
-        U = ch.matrix
-        return U @ rho @ U.conj().T
+        return np.kron(ch.matrix, ch.matrix.conj())
     if isinstance(ch, Mixture):
-        out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
-        for idx, w in ch.weights:
-            out = out + float(w) * _apply_unchecked(ch.parts[int(idx)], rho)
-        return out
+        env = {key: to_super(ch.parts[int(key)]) for key in ch.weights.support()}
+        return interpret(convex_state_carrier(env), ch.weights)
     if isinstance(ch, Super):
-        vec = rho.reshape(ch.dim_in * ch.dim_in)
-        return (ch.matrix @ vec).reshape(ch.dim_out, ch.dim_out)
+        return ch.matrix.copy()
     raise ChannelError(f"not a channel: {ch!r}")
+
+
+def _act(S: np.ndarray, rho: np.ndarray, dim_out: int) -> np.ndarray:
+    """The image of rho under the superoperator S: S vec(rho), unvectorized."""
+    return (S @ rho.reshape(-1)).reshape(dim_out, dim_out)
 
 
 def apply_channel(ch: Channel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -180,25 +193,7 @@ def apply_channel(ch: Channel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.
         raise NotDensity(f"density dim {rho.shape[0]} != channel input dim {ch.dim_in}")
     if not classify(rho, tol).has(OperatorKind.DENSITY):
         raise NotDensity("channel input does not classify as a density operator")
-    return _apply_unchecked(ch, rho)
-
-
-def to_super(ch: Channel) -> np.ndarray:
-    """The channel's matrix on row-major vectorized operators.
-
-    For conjugation by U this is kron(U, conj(U)), because row-major
-    vectorization turns A B C into (A kron C^T) vec(B).
-    """
-    if isinstance(ch, Unitary):
-        return np.kron(ch.matrix, ch.matrix.conj())
-    if isinstance(ch, Mixture):
-        out = np.zeros((ch.dim_out**2, ch.dim_in**2), dtype=np.complex128)
-        for idx, w in ch.weights:
-            out = out + float(w) * to_super(ch.parts[int(idx)])
-        return out
-    if isinstance(ch, Super):
-        return ch.matrix.copy()
-    raise ChannelError(f"not a channel: {ch!r}")
+    return _act(to_super(ch), rho, ch.dim_out)
 
 
 def compose(g: Channel, f: Channel) -> Super:
@@ -226,9 +221,10 @@ def wp(ch: Channel, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotEffect("the predicate does not classify as an effect")
 
     Afixed = A.copy()
+    S = to_super(ch)
 
     def pre_expectation(rho: np.ndarray) -> complex:
-        return trace(_apply_unchecked(ch, rho) @ Afixed)
+        return trace(_act(S, rho, ch.dim_out) @ Afixed)
 
     h = Functional(
         OperatorKind.EFFECT,

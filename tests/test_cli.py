@@ -257,6 +257,33 @@ def test_failed_check_exits_one(capsys):
     assert "counterexample_seed" in report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tol", "1e-17", "duality-roundtrip", "--kind", "effect", "--dim", "3", "--seeds", "5"],
+        ["--tol", "1e-16", "duality-roundtrip", "--kind", "self-adjoint", "--dim", "3", "--seeds", "5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_rejected_own_sample_fails_check(capsys, argv):
+    # the command drew the sample itself, so its rejection is a failed check
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["counterexample_seed"] in cli._seeds_from(0, 5)
+    assert report["counterexample_error"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["bounded", "self-adjoint", "positive", "effect", "density"])
+def test_huge_tolerance_does_not_overflow(capsys, kind):
+    argv = ["--tol", "1e308", "duality-roundtrip", "--kind", kind, "--dim", "3", "--seeds", "5"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_non_effect_predicate_exits_two(capsys, tmp_path, x_flip_channel):
     too_big = _write_matrix(tmp_path / "two_i.json", [[2, 0], [0, 2]])
     code, _, err = _run(capsys, ["wp", "--channel", x_flip_channel, "--effect", too_big])

@@ -21,7 +21,7 @@ from hsdual.duality import (
     naturality_check,
 )
 from hsdual.linalg import DEFAULT_TOL, approx_eq, identity, max_norm, outer_unit, trace
-from hsdual.operators import OperatorKind, sample, sample_unitary
+from hsdual.operators import OperatorKind, classify, sample, sample_unitary
 
 from conftest import mat
 
@@ -258,3 +258,22 @@ def test_inverse_total_evaluations(kind):
         hs_inverse(kind, Functional(kind, dim, counting))
         extra = 17 if kind == DM else 16
         assert len(calls) == extra + dim * dim, (kind, dim)
+
+
+@pytest.mark.parametrize("kind", [SA, POS, EF, DM], ids=lambda k: k.value)
+def test_round_trip_of_operator_hermitian_only_within_tol(kind):
+    # classify accepts A + 0.49 tol S for anti-Hermitian S of unit max-norm
+    # (Hermitian residual 0.98 tol); the round trip returns the Hermitian part.
+    tol = DEFAULT_TOL
+    checked = 0
+    for dim in range(2, 7):
+        for seed in range(40):
+            G = sample(B, dim, 1000 + seed)
+            S = (G - G.conj().T) / max_norm(G - G.conj().T)
+            A = sample(kind, dim, seed) + 0.49 * tol * S
+            if not classify(A, tol).has(kind):
+                continue
+            A2 = hs_inverse(kind, hs_forward(kind, A, tol), tol)
+            assert max_norm(A2 - (A + A.conj().T) / 2) <= tol, (dim, seed)
+            checked += 1
+    assert checked >= 100
