@@ -80,6 +80,7 @@ from .operators import (
     NotPositive,
     OperatorKind,
     classify,
+    in_kind,
     loewner_leq,
     pos_neg_split,
     sa_components,
@@ -149,6 +150,7 @@ __all__ = [
     "hermitian_eig",
     "hs_forward",
     "hs_inverse",
+    "in_kind",
     "interpret",
     "law_suite",
     "loewner_leq",

@@ -148,8 +148,8 @@ def _seeded_check(
 
     The check passes when the worst residual, reported under ``key``, is
     within ``args.tol``.  A sample the residual drew itself that the library
-    rejects (DualityError, NotDensity) fails the check at its seed, with the
-    reason as ``counterexample_error``; it is not bad input.
+    rejects (DualityError, LinalgError, NotDensity) fails the check at its
+    seed, with the reason as ``counterexample_error``; it is not bad input.
     """
     worst = 0.0
     worst_seed = None
@@ -157,7 +157,7 @@ def _seeded_check(
     for s in _seeds_from(args.seed, count):
         try:
             r = residual(s)
-        except (DualityError, NotDensity) as exc:
+        except (DualityError, LinalgError, NotDensity) as exc:
             worst_seed, rejected = s, str(exc)
             break
         if r > worst:
@@ -228,24 +228,16 @@ def _free_iso_residual(which: str, dim: int, s: int) -> float:
     if which == "c":
         B = sample(OperatorKind.BOUNDED, dim, s)
         return max_norm(free.c_iso_sa_b(free.c_iso_b_sa(B)) - B)
-    # chain: complex combination of scaled densities, rebuilt stepwise
-    rng = np.random.default_rng(s)
-    rhos = [sample(OperatorKind.DENSITY, dim, int(x)) for x in rng.integers(0, 2**62, size=4)]
-    w = [float(x) for x in rng.uniform(0.1, 2.0, size=4)]
-    target = (w[0] * rhos[0] - w[1] * rhos[1]) + 1j * (w[2] * rhos[2] - w[3] * rhos[3])
-    re = free.r_iso_pos_sa(
-        free.Difference(
-            free.s_iso_dm_pos(free.s_point(w[0], rhos[0]), dim),
-            free.s_iso_dm_pos(free.s_point(w[1], rhos[1]), dim),
-        )
-    )
-    im = free.r_iso_pos_sa(
-        free.Difference(
-            free.s_iso_dm_pos(free.s_point(w[2], rhos[2]), dim),
-            free.s_iso_dm_pos(free.s_point(w[3], rhos[3]), dim),
-        )
-    )
-    return max_norm(free.c_iso_sa_b(free.ComplexPair(re, im)) - target)
+    # chain: a bounded B down through all three inverse maps -- complex pair,
+    # differences of positives, weighted densities -- and back up again
+    B = sample(OperatorKind.BOUNDED, dim, s)
+    pair = free.c_iso_b_sa(B)
+    parts = []
+    for X in (pair.re, pair.im):
+        diff = free.r_iso_sa_pos(X)
+        pos, neg = (free.s_iso_dm_pos(free.s_iso_pos_dm(P), dim) for P in (diff.pos, diff.neg))
+        parts.append(free.r_iso_pos_sa(free.Difference(pos, neg)))
+    return max_norm(free.c_iso_sa_b(free.ComplexPair(*parts)) - B)
 
 
 def _cmd_free_iso(args) -> tuple[dict, bool]:

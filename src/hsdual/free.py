@@ -37,7 +37,7 @@ from .linalg import (
 from .operators import (
     NotPositive,
     OperatorKind,
-    classify,
+    in_kind,
     pos_neg_split,
     sa_components,
 )
@@ -112,7 +112,7 @@ def s_iso_dm_pos(u: WeightedPoint, dim: int) -> np.ndarray:
 def s_iso_pos_dm(B: np.ndarray, tol: float = DEFAULT_TOL) -> WeightedPoint:
     """Inverse direction: trace-normalize, keeping the trace as the weight."""
     B = as_matrix(B)
-    if not classify(B, tol).has(OperatorKind.POSITIVE):
+    if not in_kind(B, OperatorKind.POSITIVE, tol):
         raise NotPositive("s_iso_pos_dm expects a positive operator")
     t = trace(B).real
     if t <= tol:
@@ -158,7 +158,7 @@ def r_smul(r: float, p: Difference) -> Difference:
 
 def _check_positive(x, tol: float) -> None:
     if isinstance(x, np.ndarray):
-        if not classify(x, tol).has(OperatorKind.POSITIVE):
+        if not in_kind(x, OperatorKind.POSITIVE, tol):
             raise NotPositive("difference components must be positive")
     else:
         if not (isinstance(x, (int, float)) and x >= -tol):

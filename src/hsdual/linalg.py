@@ -7,7 +7,8 @@ is deliberately written out in full rather than delegated, so its numerical
 behaviour (convergence criterion, sweep budget, eigenvalue ordering) is
 pinned down by this module alone.  ``hermitian_eig`` is the package's only
 way to ask for a spectrum: it checks Hermiticity at the caller's tolerance,
-symmetrizes its input and converges to min(tol, EIG_TOL).
+symmetrizes its input and converges to min(tol, EIG_TOL), floored at machine
+epsilon.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 #: Ceiling on ``hermitian_eig``'s convergence target, which is
-#: min(tol, EIG_TOL).  Kept well below DEFAULT_TOL so that solver noise never
-#: decides a membership question.
+#: min(tol, EIG_TOL) but never below machine epsilon.  Kept well below
+#: DEFAULT_TOL so that solver noise never decides a membership question.
 EIG_TOL = 1e-12
+
+#: Floor on the convergence target: a relative off-diagonal mass below one
+#: rounding unit is not reachable, and chasing it overflows the rotations.
+_EIG_FLOOR = float(np.finfo(np.float64).eps)
 
 _MAX_SWEEPS = 100
 
@@ -136,7 +141,9 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
     exactly Hermitian part (A + A^dagger)/2.  Sweeps over all index pairs
     apply 2x2 unitary rotations until the off-diagonal Frobenius mass drops to
     min(tol, EIG_TOL) times the diagonal mass, so solver noise never decides a
-    threshold at tol; if 100 sweeps do not get there, NoConvergence is raised.
+    threshold at tol; the target is floored at machine epsilon, which a tighter
+    tol cannot improve on.  If 100 sweeps do not get there, NoConvergence is
+    raised.
     """
     A = as_matrix(A)
     if not is_hermitian(A, tol):
@@ -144,7 +151,7 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
             f"matrix is not self-adjoint within {tol} (residual {max_norm(A - A.conj().T):.3e})"
         )
     n = A.shape[0]
-    tol = min(tol, EIG_TOL)
+    tol = max(min(tol, EIG_TOL), _EIG_FLOOR)
     H = (A + A.conj().T) / 2.0
     V = np.eye(n, dtype=np.complex128)
 

@@ -4,9 +4,13 @@ A square complex matrix is graded into nested kinds: every matrix is bounded;
 self-adjoint, positive, effect, projection and density operators form
 successively constrained families.  Membership is decided spectrally with
 explicit tolerances, and each kind comes with a seed-deterministic sampler.
-Every spectrum comes from :func:`hsdual.linalg.hermitian_eig`, called with the
-caller's matrix and tol as they are: it owns the Hermiticity check, the
-symmetrization and the convergence target, min(tol, 1e-12).
+``classify`` reports every kind with its spectral witness; ``in_kind`` answers
+for one kind and computes a spectrum only when that kind has an eigenvalue
+threshold (positive, effect, density).  Both read their thresholds from one
+private owner, so they cannot disagree.  Every spectrum comes from
+:func:`hsdual.linalg.hermitian_eig`, called with the caller's matrix and tol
+as they are: it owns the Hermiticity check, the symmetrization and the
+convergence target, min(tol, 1e-12) floored at machine epsilon.
 """
 
 from __future__ import annotations
@@ -78,37 +82,58 @@ class KindReport:
         }
 
 
+#: Kinds decided by an eigenvalue threshold; the others need no spectrum.
+_SPECTRAL = (OperatorKind.POSITIVE, OperatorKind.EFFECT, OperatorKind.DENSITY)
+
+
+def _meets(kind: OperatorKind, A: np.ndarray, tol: float, eigenvalues) -> bool:
+    """The threshold of ``kind`` for an A already self-adjoint within tol.
+
+    The one owner of every membership threshold, shared by classify and
+    in_kind.  ``eigenvalues`` (descending) is read for the spectral kinds only.
+    """
+    if kind == OperatorKind.PROJECTION:
+        return max_norm(A @ A - A) <= tol
+    if kind not in _SPECTRAL:
+        return True
+    positive = float(eigenvalues[-1]) >= -tol
+    if kind == OperatorKind.EFFECT:
+        return positive and float(eigenvalues[0]) <= 1.0 + tol
+    if kind == OperatorKind.DENSITY:
+        return positive and abs(trace(A) - 1.0) <= tol
+    return positive
+
+
 def classify(A: np.ndarray, tol: float = DEFAULT_TOL) -> KindReport:
     """Decide every kind membership for A at the given tolerance.
 
     Self-adjointness is a max-norm test on A - A^dagger; positivity and the
     effect bound are eigenvalue thresholds (min >= -tol, max <= 1 + tol);
     projections must satisfy A^2 = A in max-norm; densities are positive with
-    trace within tol of 1.
+    trace within tol of 1.  A self-adjoint A always costs one eigensolve, for
+    the witness; to ask about one kind, in_kind is cheaper.
     """
     A = as_matrix(A)
-    kinds = [OperatorKind.BOUNDED]
-    eigenvalues = None
+    if not is_hermitian(A, tol):
+        return KindReport((OperatorKind.BOUNDED,), None)
+    eigenvalues = tuple(float(x) for x in hermitian_eig(A, tol).eigenvalues)
+    kinds = tuple(k for k in KIND_ORDER if _meets(k, A, tol, eigenvalues))
+    return KindReport(kinds, eigenvalues)
 
-    if is_hermitian(A, tol):
-        kinds.append(OperatorKind.SELF_ADJOINT)
-        dec = hermitian_eig(A, tol)
-        eigenvalues = tuple(float(x) for x in dec.eigenvalues)
 
-        lo = eigenvalues[-1]
-        hi = eigenvalues[0]
-        positive = lo >= -tol
-        if positive:
-            kinds.append(OperatorKind.POSITIVE)
-            if hi <= 1.0 + tol:
-                kinds.append(OperatorKind.EFFECT)
-        if max_norm(A @ A - A) <= tol:
-            kinds.append(OperatorKind.PROJECTION)
-        if positive and abs(trace(A) - 1.0) <= tol:
-            kinds.append(OperatorKind.DENSITY)
+def in_kind(A: np.ndarray, kind: OperatorKind, tol: float = DEFAULT_TOL) -> bool:
+    """Whether A belongs to ``kind`` at tol; always classify(A, tol).has(kind).
 
-    ordered = tuple(k for k in KIND_ORDER if k in kinds)
-    return KindReport(ordered, eigenvalues)
+    Bounded, self-adjoint and projection are decided without a spectrum; only
+    positive, effect and density call hermitian_eig.
+    """
+    A = as_matrix(A)
+    if kind == OperatorKind.BOUNDED:
+        return True
+    if not is_hermitian(A, tol):
+        return False
+    eigenvalues = hermitian_eig(A, tol).eigenvalues if kind in _SPECTRAL else None
+    return _meets(kind, A, tol, eigenvalues)
 
 
 def pos_neg_split(A: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -226,6 +251,7 @@ __all__ = [
     "KIND_ORDER",
     "NotPositive",
     "classify",
+    "in_kind",
     "pos_neg_split",
     "sa_components",
     "loewner_leq",

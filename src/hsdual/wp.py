@@ -13,7 +13,9 @@ densities for the raw form.
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
 computed by handing the pre-expectation functional rho |-> tr(f(rho) A) to
-the generic duality inversion -- no structure of f is consulted.  For a
+the generic duality inversion -- no structure of f is consulted.  The
+functional evaluates a stack of densities with one matmul by the channel's
+superoperator.  For a
 unitary channel the closed form U^dagger A U exists and is used in the test
 suite as an oracle, never here.
 """
@@ -29,7 +31,7 @@ import numpy as np
 from .algebra import FormalSum, Semiring, convex_state_carrier, formal_sum, interpret
 from .duality import Functional, NotInKind, hs_inverse
 from .linalg import DEFAULT_TOL, as_matrix, identity, max_norm, trace
-from .operators import OperatorKind, classify, sample
+from .operators import OperatorKind, in_kind, sample
 
 
 class ChannelError(Exception):
@@ -156,8 +158,7 @@ def super_channel(
             raise InvalidChannel(
                 f"trace not preserved on sampled density #{i}: tr = {trace(out):.12g}"
             )
-        report = classify(out, tol)
-        if not report.has(OperatorKind.POSITIVE):
+        if not in_kind(out, OperatorKind.POSITIVE, tol):
             raise InvalidChannel(f"positivity violated on sampled density #{i}")
     return Super(dim_in, dim_out, M)
 
@@ -191,7 +192,7 @@ def apply_channel(ch: Channel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.
     rho = as_matrix(rho)
     if rho.shape[0] != ch.dim_in:
         raise NotDensity(f"density dim {rho.shape[0]} != channel input dim {ch.dim_in}")
-    if not classify(rho, tol).has(OperatorKind.DENSITY):
+    if not in_kind(rho, OperatorKind.DENSITY, tol):
         raise NotDensity("channel input does not classify as a density operator")
     return _act(to_super(ch), rho, ch.dim_out)
 
@@ -217,20 +218,24 @@ def wp(ch: Channel, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     A = as_matrix(A)
     if A.shape[0] != ch.dim_out:
         raise NotEffect(f"effect dim {A.shape[0]} != channel output dim {ch.dim_out}")
-    if not classify(A, tol).has(OperatorKind.EFFECT):
+    if not in_kind(A, OperatorKind.EFFECT, tol):
         raise NotEffect("the predicate does not classify as an effect")
 
     Afixed = A.copy()
     S = to_super(ch)
 
-    def pre_expectation(rho: np.ndarray) -> complex:
-        return trace(_act(S, rho, ch.dim_out) @ Afixed)
+    def pre_expectations(rhos: np.ndarray) -> np.ndarray:
+        # One stacked matmul: image b is S vec(rho_b), unvectorized, as _act
+        # computes it for one density.
+        images = np.matmul(S, rhos.reshape(len(rhos), -1, 1)).reshape(-1, ch.dim_out, ch.dim_out)
+        return np.trace(images @ Afixed, axis1=1, axis2=2)
 
     h = Functional(
         OperatorKind.EFFECT,
         ch.dim_in,
-        pre_expectation,
+        lambda rho: pre_expectations(np.asarray(rho)[None])[0],
         note="pre-expectation of an effect under a channel",
+        stacked=pre_expectations,
     )
     try:
         return hs_inverse(OperatorKind.EFFECT, h, tol)

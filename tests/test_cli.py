@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from hsdual import cli
+from hsdual import cli, free
 from hsdual.cli import main
 from hsdual.linalg import identity
 from hsdual.operators import OperatorKind, classify, sample
@@ -432,3 +432,65 @@ def test_undecodable_json_exits_two(capsys, tmp_path, which):
         assert code == 2, bad
         assert out == ""
         assert "error:" in err
+
+
+# the inverse maps as shipped, for the planted faults below to wrap
+free_iso_pos_dm, free_iso_sa_pos, free_iso_b_sa = free.s_iso_pos_dm, free.r_iso_sa_pos, free.c_iso_b_sa
+
+
+def _scaled_weight(B, tol=1e-9):
+    u = free_iso_pos_dm(B, tol)
+    return u if u.is_zero else free.WeightedPoint(u.weight * (1 + 1e-6), u.point)
+
+
+def _scaled_split(A, tol=1e-9):
+    d = free_iso_sa_pos(A, tol)
+    return free.Difference(d.pos * (1 + 1e-6), d.neg * (1 + 1e-6))
+
+
+def _conjugated_pair(A):
+    p = free_iso_b_sa(A)
+    return free.ComplexPair(p.re, -p.im)
+
+
+def _non_hermitian_pair(A):
+    p = free_iso_b_sa(A)
+    return free.ComplexPair(p.re + 1e-3 * (A - A.conj().T), p.im)
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("s_iso_pos_dm", _scaled_weight),
+        ("r_iso_sa_pos", _scaled_split),
+        ("c_iso_b_sa", _conjugated_pair),
+        ("c_iso_b_sa", _non_hermitian_pair),
+    ],
+    ids=["s-weight", "r-split", "c-conjugate", "c-non-hermitian"],
+)
+def test_free_iso_chain_catches_a_planted_inverse_fault(capsys, monkeypatch, name, fault):
+    # the chain runs B through all three inverse maps and back, so a fault in
+    # any one of them fails the check; a rejected intermediate fails it too
+    monkeypatch.setattr(free, name, fault)
+    code, out, err = _run(capsys, ["free-iso", "--which", "chain", "--dim", "3", "--seeds", "4"])
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["counterexample_seed"] in cli._seeds_from(0, 4)
+    assert ("counterexample_error" in report) == (fault is _non_hermitian_pair)
+
+
+@pytest.mark.parametrize("tol", ["1e-17", "1e-16", "5e-324"])
+def test_free_iso_chain_fails_below_float_error(capsys, tol):
+    code, out, _ = _run(capsys, ["--tol", tol, "free-iso", "--which", "chain", "--dim", "3", "--seeds", "4"])
+    assert code == 1
+    assert json.loads(out)["max_residual"] > float(tol)
+
+
+@pytest.mark.filterwarnings("error")
+def test_smallest_tolerance_neither_overflows_nor_exits_two(capsys):
+    # hermitian_eig floors its convergence target at machine epsilon
+    argv = ["--tol", "5e-324", "laws", "--instance", "effects", "--dim", "3", "--samples", "20"]
+    code, out, err = _run(capsys, argv)
+    assert code in (0, 1), err
+    assert json.loads(out)["pass"] is (code == 0)

@@ -215,6 +215,22 @@ def test_eig_dim1():
     assert dec.vectors[0, 0] == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_eig_convergence_target_is_floored_at_machine_epsilon():
+    # No tol below one rounding unit can tighten the iteration: the smallest
+    # float converges, without overflow, to the same result as epsilon.
+    rng = np.random.default_rng(29)
+    eps = float(np.finfo(np.float64).eps)
+    for dim in (2, 3, 5, 8):
+        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        H = (G + G.conj().T) / 2
+        tiny = hermitian_eig(H, tol=5e-324)
+        floor = hermitian_eig(H, tol=eps)
+        assert np.array_equal(tiny.eigenvalues, floor.eigenvalues)
+        assert np.array_equal(tiny.vectors, floor.vectors)
+        assert max_norm(tiny.reconstruct() - H) <= 1e-13
+
+
 def test_noconvergence_is_raisable():
     # The solver converges on everything well-conditioned we can build, so
     # just pin the exception type into the public contract.

@@ -5,7 +5,7 @@ unitary, so the eigenvalues every spectral decision should see are known in
 advance.  The spectra are degenerate, rank-deficient, or sit at 0 and 1 with
 offsets of +-tol/2 (inside a kind boundary) and +-2 tol (outside it).
 classify, pos_neg_split, loewner_leq and the hs_forward / hs_inverse round
-trip are checked against that spectrum.  A quantity within rounding of a
+trip are checked against that spectrum, and in_kind against classify.  A quantity within rounding of a
 boundary decides nothing and is not asserted on.
 """
 
@@ -15,7 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from hsdual.duality import ContractViolation, Functional, NotInKind, hs_forward, hs_inverse
 from hsdual.linalg import hermitian_eig, max_norm, trace, zeros
-from hsdual.operators import OperatorKind, classify, loewner_leq, pos_neg_split, sample_unitary
+from hsdual.operators import (
+    OperatorKind,
+    classify,
+    in_kind,
+    loewner_leq,
+    pos_neg_split,
+    sample_unitary,
+)
 
 SA = OperatorKind.SELF_ADJOINT
 POS = OperatorKind.POSITIVE
@@ -156,3 +163,22 @@ def test_positive_round_trip_with_eigenvalue_just_below_zero(dim):
         B = (U * np.where(lam < 0, -2 * tol, lam)) @ U.conj().T
         with pytest.raises((ContractViolation, NotInKind)):
             hs_inverse(POS, Functional(POS, dim, lambda X, B=B: trace(B @ X)), tol)
+
+
+@st.composite
+def _case_near_hermitian(draw):
+    # The spectra above, plus an anti-Hermitian part that leaves the matrix
+    # self-adjoint within tol, or not, by a margin of at most a factor 2.
+    tol, lam, A = draw(_case())
+    G = sample_unitary(lam.size, draw(st.integers(0, 2**16)))
+    S = (G - G.conj().T) / max(max_norm(G - G.conj().T), 1.0)
+    return tol, A + draw(st.sampled_from([0.0, 0.25, 2.0])) * tol * S
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(case=_case_near_hermitian())
+def test_in_kind_agrees_with_classify(case):
+    tol, A = case
+    report = classify(A, tol)
+    for kind in OperatorKind:
+        assert in_kind(A, kind, tol) == report.has(kind), (kind, tol)
