@@ -101,8 +101,12 @@ class Semiring(Enum):
 
 
 def _coerce(semiring: Semiring, value) -> Fraction | QC:
-    """Validate and normalize a coefficient for the given semiring."""
-    if semiring == Semiring.COMPLEX_RATIONAL:
+    """Validate and normalize a coefficient for the given semiring.
+
+    Range checks compare the normalized numerator and (positive) denominator
+    as integers rather than through Fraction's rich comparison.
+    """
+    if semiring is Semiring.COMPLEX_RATIONAL:
         if isinstance(value, QC):
             return value
         if isinstance(value, complex):
@@ -113,24 +117,24 @@ def _coerce(semiring: Semiring, value) -> Fraction | QC:
             raise ValueError(f"coefficient {value!r} is not real for {semiring.value}")
         value = value.re
     coeff = value if type(value) is Fraction else Fraction(value)
-    if semiring == Semiring.NONNEG_RATIONAL and coeff < 0:
+    if semiring is Semiring.NONNEG_RATIONAL and coeff.numerator < 0:
         raise ValueError(f"coefficient {coeff} negative in {semiring.value}")
-    if semiring == Semiring.UNIT_INTERVAL and not (0 <= coeff <= 1):
+    if semiring is Semiring.UNIT_INTERVAL and not 0 <= coeff.numerator <= coeff.denominator:
         raise CoefficientOverflow(f"coefficient {coeff} outside [0, 1]")
     return coeff
 
 
 def _zero(semiring: Semiring):
-    return _QC_ZERO if semiring == Semiring.COMPLEX_RATIONAL else Fraction(0)
+    return _QC_ZERO if semiring is Semiring.COMPLEX_RATIONAL else Fraction(0)
 
 
 def _one(semiring: Semiring):
-    return _QC_ONE if semiring == Semiring.COMPLEX_RATIONAL else Fraction(1)
+    return _QC_ONE if semiring is Semiring.COMPLEX_RATIONAL else Fraction(1)
 
 
 def _add(semiring: Semiring, a, b):
     total = a + b
-    if semiring == Semiring.UNIT_INTERVAL and total > 1:
+    if semiring is Semiring.UNIT_INTERVAL and total.numerator > total.denominator:
         raise CoefficientOverflow(f"coefficient sum {total} left [0, 1]")
     return total
 
@@ -207,19 +211,21 @@ def formal_sum(
     With ``distribution=True`` (unit-interval coefficients only) the
     coefficients must add up to exactly 1.
     """
-    if distribution and semiring != Semiring.UNIT_INTERVAL:
+    if distribution and semiring is not Semiring.UNIT_INTERVAL:
         raise NotDistribution("the distribution flag requires unit-interval coefficients")
     acc: dict = {}
     for key, raw in pairs:
         coeff = _coerce(semiring, raw)
-        if key in acc:
-            acc[key] = _add(semiring, acc[key], coeff)
-        else:
-            acc[key] = coeff
-    items = tuple(sorted(((k, c) for k, c in acc.items() if c), key=lambda kv: _key_order(kv[0])))
-    result = FormalSum(semiring, items, distribution)
-    if distribution and result.total() != 1:
-        raise NotDistribution(f"distribution coefficients sum to {result.total()}, not 1")
+        prev = acc.get(key)
+        acc[key] = coeff if prev is None else _add(semiring, prev, coeff)
+    items = [(k, c) for k, c in acc.items() if c]
+    if len(items) > 1:
+        items.sort(key=lambda kv: _key_order(kv[0]))
+    result = FormalSum(semiring, tuple(items), distribution)
+    if distribution:
+        total = result.total()
+        if total.numerator != 1 or total.denominator != 1:
+            raise NotDistribution(f"distribution coefficients sum to {total}, not 1")
     return result
 
 
@@ -257,7 +263,7 @@ def flatten(ss: FormalSum) -> FormalSum:
     for inner, outer_coeff in ss.terms:
         if not isinstance(inner, FormalSum):
             raise SemiringMismatch(f"flatten expects sums of sums, found key {inner!r}")
-        if inner.semiring != ss.semiring:
+        if inner.semiring is not ss.semiring:
             raise SemiringMismatch(
                 f"inner sum over {inner.semiring.value} inside outer {ss.semiring.value}"
             )
@@ -304,7 +310,7 @@ def interpret(carrier: AlgebraCarrier, s: FormalSum):
     convex combination.
     """
     if carrier.kind == "module":
-        if s.semiring != carrier.semiring:
+        if s.semiring is not carrier.semiring:
             raise SemiringMismatch(
                 f"sum over {s.semiring.value} fed to a {carrier.semiring.value} module"
             )
@@ -362,9 +368,9 @@ _GRID_UNIT = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 def _grid_for(semiring: Semiring):
-    if semiring == Semiring.COMPLEX_RATIONAL:
+    if semiring is Semiring.COMPLEX_RATIONAL:
         return _GRID_COMPLEX
-    if semiring == Semiring.UNIT_INTERVAL:
+    if semiring is Semiring.UNIT_INTERVAL:
         return _GRID_UNIT
     return _GRID
 
@@ -393,6 +399,8 @@ def _enumerate_layered(semiring: Semiring, base: list, distribution: bool, cap: 
         for coeffs in product(grid, repeat=len(support)):
             if distribution and sum(coeffs, Fraction(0)) != 1:
                 continue
+            if len(support) == 2 and not all(coeffs):
+                continue  # a zero coefficient repeats a one-term sum from above
             seen.setdefault(formal_sum(semiring, zip(support, coeffs), distribution))
             if len(seen) >= cap:
                 return list(seen)
@@ -418,42 +426,91 @@ def monad_law_suite(max_carrier: int = 3) -> dict:
     are not closed under addition, so a composite can overflow [0, 1] on
     either side of a law; such instances fall outside the partial structure
     and are counted as skipped rather than compared.
+
+    Cost: within one configuration (a semiring with or without the
+    distribution flag) each value is computed once: ``unit(x)`` per carrier
+    key, the unit laws per distinct grid sum and the associativity law per
+    distinct double sum (sums over a smaller carrier recur over the larger
+    ones), and ``flatten`` per distinct sum of grid sums, whether it is an
+    inner sum of a double sum or an intermediate of either side of the law.
+    A recurring sum still counts, and records its violations, every time it
+    occurs.  The memo lives for one configuration of one call; nothing is
+    cached across calls.
     """
-    violations: list[dict] = []
     checked = 0
     skipped = 0
-
-    def record(semiring: Semiring, law: str, culprit: FormalSum) -> None:
-        violations.append({"semiring": semiring.value, "law": law, "sum": repr(culprit)})
-
+    violations: list[dict] = []
     configs = [(s, False) for s in Semiring] + [(Semiring.UNIT_INTERVAL, True)]
     for semiring, distribution in configs:
-        for size in range(1, max_carrier + 1):
-            carrier = tuple("abc"[:size])
-            level1 = _enumerate_sums(semiring, carrier, distribution)
-
-            for s in level1:
-                checked += 1
-                if flatten(unit(s, semiring, distribution)) != s:
-                    record(semiring, "flatten-unit-outer", s)
-                if flatten(fmap(lambda x: unit(x, semiring, distribution), s)) != s:
-                    record(semiring, "flatten-unit-inner", s)
-
-            # Associativity needs triple-nested sums; build them over
-            # deterministic capped pools so the coefficient grid stays
-            # exhaustive at every level.
-            pool1 = level1[: min(len(level1), 6)]
-            pool2 = _enumerate_layered(semiring, pool1, distribution, cap=8)
-            level3 = _enumerate_layered(semiring, pool2, distribution, cap=64)
-            for t in level3:
-                try:
-                    lhs = flatten(flatten(t))
-                    rhs = flatten(fmap(flatten, t))
-                except CoefficientOverflow:
-                    skipped += 1
-                    continue
-                checked += 1
-                if lhs != rhs:
-                    record(semiring, "flatten-associativity", t)
-
+        config_checked, config_skipped, config_violations = _monad_laws_for(
+            semiring, distribution, max_carrier
+        )
+        checked += config_checked
+        skipped += config_skipped
+        violations += config_violations
     return {"checked": checked, "skipped": skipped, "violations": violations}
+
+
+def _monad_laws_for(semiring: Semiring, distribution: bool, max_carrier: int) -> tuple[int, int, list]:
+    """(checked, skipped, violations) of the monad laws for one configuration."""
+    checked = 0
+    skipped = 0
+    violations: list[dict] = []
+    units: dict = {}  # carrier key -> unit(key)
+    flats: dict = {}  # sum of grid sums -> its flatten
+    unit_laws: dict = {}  # grid sum -> (outer law fails, inner law fails)
+    assoc: dict = {}  # double sum -> associativity fails, or None when skipped
+
+    def record(law: str, culprit: FormalSum) -> None:
+        violations.append({"semiring": semiring.value, "law": law, "sum": repr(culprit)})
+
+    def unit_of(x) -> FormalSum:
+        u = units.get(x)
+        if u is None:
+            u = units[x] = unit(x, semiring, distribution)
+        return u
+
+    def flat(ss: FormalSum) -> FormalSum:
+        out = flats.get(ss)
+        if out is None:  # an overflow is not stored and recurs on every call
+            out = flats[ss] = flatten(ss)
+        return out
+
+    for size in range(1, max_carrier + 1):
+        carrier = tuple("abc"[:size])
+        level1 = _enumerate_sums(semiring, carrier, distribution)
+
+        for s in level1:
+            if s not in unit_laws:
+                unit_laws[s] = (
+                    flatten(unit(s, semiring, distribution)) != s,
+                    flatten(fmap(unit_of, s)) != s,
+                )
+            outer_fails, inner_fails = unit_laws[s]
+            checked += 1
+            if outer_fails:
+                record("flatten-unit-outer", s)
+            if inner_fails:
+                record("flatten-unit-inner", s)
+
+        # Associativity needs triple-nested sums; build them over
+        # deterministic capped pools so the coefficient grid stays
+        # exhaustive at every level.
+        pool1 = level1[: min(len(level1), 6)]
+        pool2 = _enumerate_layered(semiring, pool1, distribution, cap=8)
+        level3 = _enumerate_layered(semiring, pool2, distribution, cap=64)
+        for t in level3:
+            if t not in assoc:
+                try:
+                    assoc[t] = flat(flatten(t)) != flat(fmap(flat, t))
+                except CoefficientOverflow:
+                    assoc[t] = None
+            fails = assoc[t]
+            if fails is None:
+                skipped += 1
+                continue
+            checked += 1
+            if fails:
+                record("flatten-associativity", t)
+
+    return checked, skipped, violations

@@ -296,8 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_duality_roundtrip)
 
     p = sub.add_parser("laws", parents=[common], help="monad laws or effect-algebra laws")
-    p.add_argument("--suite", choices=["monad"], default=None)
-    p.add_argument(
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--suite", choices=["monad"], default=None)
+    which.add_argument(
         "--instance",
         choices=["interval", "powerset", "effects", "projections"],
         default=None,

@@ -57,7 +57,13 @@ class EffectInstance:
 
 
 def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
-    """Exact rationals in [0, 1]; the sum is defined when it stays <= 1."""
+    """Exact rationals in [0, 1]; the sum is defined when it stays <= 1.
+
+    The carrier is every p/q with 1 <= q <= max_denominator, so
+    ``max_denominator`` must be at least 1 (ValueError otherwise).
+    """
+    if max_denominator < 1:
+        raise ValueError("unit-interval instances need max_denominator >= 1")
     universe = tuple(
         sorted(
             {
@@ -69,8 +75,9 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
     )
 
     def ovee(x: Fraction, y: Fraction) -> Optional[Fraction]:
+        # s <= 1 as an integer compare: the denominator is positive
         s = x + y
-        return s if s <= 1 else None
+        return s if s.numerator <= s.denominator else None
 
     def sampler(seed: int) -> Fraction:
         rng = np.random.default_rng(seed)
@@ -282,11 +289,13 @@ def law_suite(
 
     Cost: each ordered pair of pool elements is summed at most once per run
     and shared by every law that needs it, so an exhaustive pool of n
-    elements costs n² pair sums.  Associativity holds vacuously where
-    y (+) z is undefined, so it visits only the triples (x, y, z) with
-    y (+) z defined; ``checked`` still counts all of them (n³, or the number
-    of sampled triples), or gives the 1-based x-major position of the first
-    failing triple.
+    elements costs n² pair sums.  Likewise x (+) orth(x) is computed once
+    per pool element and shared by both orthosupplement laws.  These sums
+    live for one call; nothing is cached across calls.  Associativity holds
+    vacuously where y (+) z is undefined, so it visits only the triples
+    (x, y, z) with y (+) z defined; ``checked`` still counts all of them
+    (n³, or the number of sampled triples), or gives the 1-based x-major
+    position of the first failing triple.
     """
     pool, exhaustive = _element_pool(inst, samples, seed)
     rng = np.random.default_rng(seed)
@@ -363,9 +372,7 @@ def law_suite(
             return f"associativity fails for x = {d(x)}, y = {d(y)}, z = {d(z)}"
         return None
 
-    def chk_orth_exists(x):
-        xo = inst.orth(x)
-        s = inst.ovee(x, xo)
+    def chk_orth_exists(x, xo, s):
         if s is None:
             return f"x (+) orth(x) undefined for x = {d(x)}"
         if not inst.eq(s, inst.one):
@@ -400,13 +407,16 @@ def law_suite(
     run("zero-unit", [(x,) for x in pool], chk_zero)
     run("commutativity", pairs, chk_comm)
     record("associativity", assoc_total, assoc_cases, chk_assoc)
-    run("orthosupplement-exists", [(x,) for x in pool], chk_orth_exists)
-    # include the constructed complement pairs so the uniqueness law is
+    # x (+) orth(x), once per pool element: the existence law reads it, and
+    # the uniqueness law runs on these complement pairs too, so that it is
     # exercised even when random pairs rarely sum to 1
-    complements = [(x, inst.orth(x)) for x in pool]
+    complements = []
+    for x in pool:
+        xo = inst.orth(x)
+        complements.append((x, xo, inst.ovee(x, xo)))
+    run("orthosupplement-exists", complements, chk_orth_exists)
     unique_cases = [(pool[i], pool[j], pair_sum(i, j)) for i, j in pairs]
-    unique_cases += [(x, xo, inst.ovee(x, xo)) for x, xo in complements]
-    run("orthosupplement-unique", unique_cases, chk_orth_unique)
+    run("orthosupplement-unique", unique_cases + complements, chk_orth_unique)
     run("one-maximal", [(x,) for x in pool], chk_one_maximal)
 
     if inst.scalar_mul is not None:

@@ -5,15 +5,18 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hsdual
+from hsdual import algebra
 from hsdual.algebra import (
     QC,
     CoefficientOverflow,
+    FormalSum,
     NotDistribution,
     Semiring,
     SemiringMismatch,
@@ -74,6 +77,54 @@ def test_unit_interval_coefficients_are_range_checked():
         formal_sum(UI, [("x", Fraction(3, 2))])
     with pytest.raises(CoefficientOverflow):
         formal_sum(UI, [("x", Fraction(2, 3)), ("x", Fraction(2, 3))])
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: formal_sum(UI, [("x", Fraction(9, 8))]), CoefficientOverflow),
+        (lambda: formal_sum(UI, [("x", 2)]), CoefficientOverflow),
+        (lambda: formal_sum(UI, [("x", Fraction(-1, 8))]), CoefficientOverflow),
+        (lambda: formal_sum(NN, [("x", Fraction(-1, 3))]), ValueError),
+        (lambda: formal_sum(UI, [("x", _HALF), ("x", Fraction(4, 7))]), CoefficientOverflow),
+        (lambda: formal_sum(UI, [("x", _THIRD), ("y", _THIRD)], distribution=True), NotDistribution),
+        (lambda: formal_sum(UI, [("x", _HALF)], distribution=True), NotDistribution),
+        (lambda: formal_sum(UI, [("x", _HALF), ("y", Fraction(4, 7))], distribution=True), NotDistribution),
+        (lambda: formal_sum(UI, [], distribution=True), NotDistribution),
+        (lambda: formal_sum(R, [("x", QC(Fraction(1), Fraction(1, 2)))]), ValueError),
+        (lambda: formal_sum(UI, [("x", QC(Fraction(1, 2), Fraction(-1)))]), ValueError),
+        (lambda: flatten(FormalSum(UI, ((unit("x", UI), 3),))), CoefficientOverflow),
+    ],
+    ids=[
+        "unit-interval-above-1",
+        "unit-interval-int-above-1",
+        "unit-interval-below-0",
+        "nonneg-negative",
+        "unit-interval-merged-sum-above-1",
+        "distribution-two-thirds",
+        "distribution-one-half",
+        "distribution-above-1",
+        "empty-distribution",
+        "imaginary-in-rational",
+        "imaginary-in-unit-interval",
+        "direct-sum-coefficient-3-flattened",
+    ],
+)
+def test_coefficient_validation_rejects(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_coefficient_validation_accepts_the_bounds():
+    assert formal_sum(UI, [("x", 0), ("y", 1)]).terms == (("y", Fraction(1)),)
+    assert formal_sum(UI, [("x", _HALF), ("x", _HALF)]).coeff("x") == 1
+    assert formal_sum(UI, [("x", _THIRD), ("y", Fraction(2, 3))], distribution=True).total() == 1
+    assert formal_sum(NN, [("x", 0), ("y", Fraction(7, 3))]).coeff("y") == Fraction(7, 3)
+    assert formal_sum(R, [("x", QC(Fraction(-2), Fraction(0)))]).coeff("x") == -2
+    assert flatten(FormalSum(UI, ((unit("x", UI), Fraction(1)),))) == unit("x", UI)
 
 
 def test_nonneg_semiring_rejects_negative():
@@ -232,6 +283,142 @@ def test_monad_law_suite_is_clean():
     # unit-interval partiality: some nested sums overflow [0,1] and are skipped
     assert result["skipped"] > 0
 
+
+
+# --- the monad suite against a reference under planted bugs -----------------------
+#
+# A plain re-statement of monad_law_suite: the grid sums and capped pools are
+# enumerated in full, and every law is evaluated afresh for every sum, with
+# no value shared between sums, through the module-level unit, fmap and
+# flatten so that a monkeypatched bug reaches both sides.
+# monad_law_suite may share work within a configuration, but for every pure
+# unit and flatten its result (counts, and violations in order and
+# multiplicity) must equal this one.
+
+
+def _reference_grid_sums(semiring, supports, distribution):
+    grid = algebra._grid_for(semiring)
+    return [
+        formal_sum(semiring, zip(support, coeffs), distribution)
+        for support in supports
+        for coeffs in product(grid, repeat=len(support))
+        if not distribution or sum(coeffs, Fraction(0)) == 1
+    ]
+
+
+def _reference_pool(semiring, base, distribution, cap):
+    """The first ``cap`` distinct sums over one or two distinct base elements."""
+    base = list(dict.fromkeys(base))
+    supports = [(x,) for x in base] + list(combinations(base, 2))
+    return list(dict.fromkeys(_reference_grid_sums(semiring, supports, distribution)))[:cap]
+
+
+def _reference_monad_law_suite(max_carrier=3):
+    checked = skipped = 0
+    violations = []
+    configs = [(s, False) for s in Semiring] + [(UI, True)]
+    for semiring, distribution in configs:
+
+        def record(law, culprit):
+            violations.append({"semiring": semiring.value, "law": law, "sum": repr(culprit)})
+
+        for size in range(1, max_carrier + 1):
+            level1 = _reference_grid_sums(semiring, [tuple("abc"[:size])], distribution)
+            for s in level1:
+                checked += 1
+                if algebra.flatten(algebra.unit(s, semiring, distribution)) != s:
+                    record("flatten-unit-outer", s)
+                inner_units = algebra.fmap(lambda x: algebra.unit(x, semiring, distribution), s)
+                if algebra.flatten(inner_units) != s:
+                    record("flatten-unit-inner", s)
+            pool2 = _reference_pool(semiring, level1[:6], distribution, cap=8)
+            for t in _reference_pool(semiring, pool2, distribution, cap=64):
+                try:
+                    lhs = algebra.flatten(algebra.flatten(t))
+                    rhs = algebra.flatten(algebra.fmap(algebra.flatten, t))
+                except CoefficientOverflow:
+                    skipped += 1
+                    continue
+                checked += 1
+                if lhs != rhs:
+                    record("flatten-associativity", t)
+    return {"checked": checked, "skipped": skipped, "violations": violations}
+
+
+_FLATTEN, _UNIT = algebra.flatten, algebra.unit
+
+
+def _flatten_dropping_a_term(ss):
+    # the last term of every inner sum with two or more terms goes missing
+    trimmed = [(inner, c) for inner, c in ss.terms]
+    for i, (inner, c) in enumerate(trimmed):
+        if isinstance(inner, FormalSum) and len(inner) >= 2:
+            trimmed[i] = (FormalSum(inner.semiring, inner.terms[:-1]), c)
+    return _FLATTEN(FormalSum(ss.semiring, tuple(trimmed), ss.distribution))
+
+
+def _flatten_keeping_the_first_of_a_collision(ss):
+    # colliding keys keep their first product instead of adding up; the
+    # result keeps the distribution flag while its coefficients sum to 1.
+    # Only the distribution configuration's double sums collide two
+    # multi-term sums, so that is where the suite sees this bug.
+    out = {}
+    for inner, c in ss.terms:
+        for key, d in inner.terms:
+            out.setdefault(key, c * d)
+    merged = formal_sum(ss.semiring, out.items())
+    flag = _FLATTEN(ss).distribution and merged.total() == 1
+    return FormalSum(merged.semiring, merged.terms, flag)
+
+
+def _flatten_overflowing_on_doubled_singletons(ss):
+    # a spurious overflow on 2|s> for a one-term s whose coefficient is not
+    # 1: the inner flatten of a double sum meets it where its outer flatten
+    # need not, and the unit laws never do
+    if len(ss) == 1:
+        ((inner, c),) = ss.terms
+        if c == 2 and len(inner) == 1 and inner.terms[0][1] != 1:
+            raise CoefficientOverflow("planted")
+    return _FLATTEN(ss)
+
+
+def _flatten_losing_the_flag(ss):
+    out = _FLATTEN(ss)
+    return FormalSum(out.semiring, out.terms, False) if len(out) == 1 else out
+
+
+def _unit_dropping_the_flag_on_b(key, semiring=R, distribution=False):
+    return _UNIT(key, semiring, distribution and key != "b")
+
+
+def _unit_doubling_single_term_sums(key, semiring=R, distribution=False):
+    if isinstance(key, FormalSum) and len(key) == 1 and semiring is R:
+        return FormalSum(semiring, ((key, Fraction(2)),), distribution)
+    return _UNIT(key, semiring, distribution)
+
+
+_PLANTED = {
+    "none": {},
+    "flatten-drops-an-inner-term": {"flatten": _flatten_dropping_a_term},
+    "flatten-mis-merges-collisions": {"flatten": _flatten_keeping_the_first_of_a_collision},
+    "flatten-spurious-overflow": {"flatten": _flatten_overflowing_on_doubled_singletons},
+    "flatten-loses-distribution-flag": {"flatten": _flatten_losing_the_flag},
+    "unit-drops-flag-on-b": {"unit": _unit_dropping_the_flag_on_b},
+    "unit-doubles-single-term-sums": {"unit": _unit_doubling_single_term_sums},
+}
+
+
+@pytest.mark.parametrize("bug", sorted(_PLANTED))
+def test_monad_law_suite_matches_reference_under_planted_bugs(monkeypatch, bug):
+    for name, planted in _PLANTED[bug].items():
+        monkeypatch.setattr(algebra, name, planted)
+    got = monad_law_suite()
+    assert got == _reference_monad_law_suite()
+    if bug == "none":
+        assert (got["checked"], got["skipped"], got["violations"]) == (1171, 27, [])
+    else:
+        # every planted bug is visible: a violation, or a shifted skip count
+        assert got["violations"] or got["skipped"] != 27
 
 
 # --- cached hash and repr -------------------------------------------------------

@@ -5,6 +5,7 @@ per run, captured via capsys.  A single subprocess test pins the module
 entry point.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -166,6 +167,60 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+#: sha256 of the stdout of ``hsdual --seed k <argv>`` for k = 0, 1, 2.  A
+#: change to the law checkers must leave these reports byte-identical.
+_LAWS_STDOUT_SHA256 = {
+    "laws --suite monad": (
+        "d6843a54ac08b1403f0f4b73f43ea01d5782e74270b6fd9db4996ca8f5077d95",
+        "d6843a54ac08b1403f0f4b73f43ea01d5782e74270b6fd9db4996ca8f5077d95",
+        "d6843a54ac08b1403f0f4b73f43ea01d5782e74270b6fd9db4996ca8f5077d95",
+    ),
+    "laws --instance interval": (
+        "9ba90bf2879b9067989be4b344f1827d6bf905b4007893018138b36ee559e67a",
+        "230ab2edfcb311bc991058d10bde100312069a9111dccaa6552d637c1fd7f06a",
+        "66d0c981ccab794738f6892ceeb7b692d8d328d795cd92206a1cdcdc2e01830b",
+    ),
+    "laws --instance powerset --dim 3": (
+        "fa59163f654a5ad8f8ea2b414a83ea4767134ef0ee9485cbd426a70e4d8c9148",
+        "8ae348f2c3708302b4f4658dcee8da16312a40159b5c33f39c7c6fa9f0617e96",
+        "48a826f0e0cf603e4e4848295434349223a5e015268d05a6202be67d8212193b",
+    ),
+    "laws --instance powerset --dim 4": (
+        "b02446322f9714ced1d3a12f28c78797b75c89a735b1398a3c0243229f9191d7",
+        "a6cae40b364aa699b0bcde7fc109ecda08a9edc52e78c440410986ff6f2a036a",
+        "4e52e2eadfefb7a7821b19d6f493af2ce5b5a43f5ece4736412ec43897382040",
+    ),
+    "laws --instance powerset --dim 5": (
+        "291d6cc8e87a882f168ff4c4683d60e6d5dbdc6f0f08b124888dda25f348bb63",
+        "2fd96a82fc8206fb9c2eb507a38bd75b4fce18b4dbb9513c615b4527720755a6",
+        "1e18a12f825f1f55b58e077a39bb0d072064d15f0316e1f30ad0e1ed8953892d",
+    ),
+    "laws --instance projections --dim 2 --samples 200": (
+        "475e3f1acbfd50014b3e7518f0e036b7403b0a0ab6c9dc1b5dab81af5374ce6a",
+        "6d13fbd26eb6cfc1399b7b19821578bb2a267783b9fde165c4c2b00ead6b045e",
+        "1bb30d3288563840022171cf0a25687419f227dbc1fff03b9c16d0aba36c723e",
+    ),
+    "laws --instance projections --dim 3 --samples 200": (
+        "b498658f59bff3cb6e9c5f2e345abb7cb2b85ca428b7b0f556abca7533b01c0d",
+        "82ae15423c655d21fb215dbe8809ce5646b3fd1d47c31a47a6bc15dee0f65a8f",
+        "1f55d931cf13fed804c46899d33fe2aa0369c328e4c0a542d3f512918792c1a3",
+    ),
+    "laws --instance projections --dim 4 --samples 200": (
+        "5f2d85815eee68d40ac9b43fdf688b2f2d0bbfe5dc2fe203520bed57ca486d1c",
+        "73de471a47b322621065430ea48c7d3a3d2fa01adfa33b4744db9b9fd872d4e0",
+        "cbe9f6fc6fe1500356117141f8f081d8e7550839d44039901c4a2b279d720414",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("argv", sorted(_LAWS_STDOUT_SHA256))
+def test_laws_reports_are_byte_identical_to_pinned_digests(capsys, argv, seed):
+    code, out, _ = _run(capsys, ["--seed", str(seed), *argv.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _LAWS_STDOUT_SHA256[argv][seed]
+
+
 def test_seed_changes_sampled_residuals(capsys):
     argv = ["duality-roundtrip", "--kind", "positive", "--dim", "3", "--seeds", "3"]
     _, base, _ = _run(capsys, argv)
@@ -205,6 +260,8 @@ def test_missing_file_exits_two(capsys, tmp_path):
         ["laws", "--instance", "powerset", "--dim", "0"],
         ["laws", "--instance", "powerset", "--dim", "17"],
         ["laws", "--instance", "effects", "--samples", "0"],
+        ["laws", "--suite", "monad", "--instance", "interval"],
+        ["laws", "--instance", "powerset", "--suite", "monad"],
         ["--tol", "nan", "free-iso", "--which", "r"],
         ["free-iso", "--which", "r", "--tol", "inf"],
         ["--tol", "-1", "free-iso", "--which", "r"],

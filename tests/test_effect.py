@@ -49,6 +49,22 @@ def test_interval_scalar_action():
     assert inst.scalar_mul(Fraction(1, 2), Fraction(1, 2)) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("max_denominator", [0, -1])
+def test_interval_rejects_an_empty_carrier(max_denominator):
+    # without a denominator the universe would be empty and every law would
+    # pass vacuously with checked 0
+    with pytest.raises(ValueError):
+        make_unit_interval(max_denominator)
+
+
+def test_interval_sum_is_defined_up_to_exactly_one():
+    inst = make_unit_interval()
+    assert inst.ovee(Fraction(1, 2), Fraction(1, 2)) == 1
+    assert inst.ovee(Fraction(1), Fraction(0)) == 1
+    assert inst.ovee(Fraction(1, 2), Fraction(4, 7)) is None
+    assert inst.ovee(Fraction(1), Fraction(1, 8)) is None
+
+
 def test_interval_law_suite_exhaustive():
     report = law_suite(make_unit_interval())
     assert report.all_pass
