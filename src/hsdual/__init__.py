@@ -93,7 +93,6 @@ from .wp import (
     NotDensity,
     NotEffect,
     Super,
-    Unitary,
     apply_channel,
     compose,
     mixture_channel,
@@ -135,7 +134,6 @@ __all__ = [
     "Semiring",
     "SemiringMismatch",
     "Super",
-    "Unitary",
     "WeightedPoint",
     "apply_channel",
     "approx_eq",

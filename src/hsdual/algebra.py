@@ -407,11 +407,16 @@ def _enumerate_layered(semiring: Semiring, base: list, distribution: bool, cap: 
     return list(seen)
 
 
-def monad_law_suite(max_carrier: int = 3) -> dict:
+#: Largest carrier, in keys, over which monad_law_suite enumerates sums.
+MONAD_MAX_CARRIER = 3
+
+
+def monad_law_suite() -> dict:
     """Exhaustively check the monad laws over small carriers and exact grids.
 
     For every semiring (plus the distribution variant of the unit interval)
-    and every carrier of size <= max_carrier, checks with literal equality:
+    and every carrier of size <= MONAD_MAX_CARRIER, checks with literal
+    equality:
 
       flatten(unit(s)) == s                 for every grid sum s
       flatten(fmap(unit, s)) == s           for every grid sum s
@@ -442,16 +447,14 @@ def monad_law_suite(max_carrier: int = 3) -> dict:
     violations: list[dict] = []
     configs = [(s, False) for s in Semiring] + [(Semiring.UNIT_INTERVAL, True)]
     for semiring, distribution in configs:
-        config_checked, config_skipped, config_violations = _monad_laws_for(
-            semiring, distribution, max_carrier
-        )
+        config_checked, config_skipped, config_violations = _monad_laws_for(semiring, distribution)
         checked += config_checked
         skipped += config_skipped
         violations += config_violations
     return {"checked": checked, "skipped": skipped, "violations": violations}
 
 
-def _monad_laws_for(semiring: Semiring, distribution: bool, max_carrier: int) -> tuple[int, int, list]:
+def _monad_laws_for(semiring: Semiring, distribution: bool) -> tuple[int, int, list]:
     """(checked, skipped, violations) of the monad laws for one configuration."""
     checked = 0
     skipped = 0
@@ -476,7 +479,7 @@ def _monad_laws_for(semiring: Semiring, distribution: bool, max_carrier: int) ->
             out = flats[ss] = flatten(ss)
         return out
 
-    for size in range(1, max_carrier + 1):
+    for size in range(1, MONAD_MAX_CARRIER + 1):
         carrier = tuple("abc"[:size])
         level1 = _enumerate_sums(semiring, carrier, distribution)
 

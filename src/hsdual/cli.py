@@ -28,10 +28,10 @@ from .linalg import (
 )
 from .operators import OperatorKind, classify, sample
 from .wp import (
-    Channel,
     ChannelError,
     InvalidChannel,
     NotDensity,
+    Super,
     apply_channel,
     mixture_channel,
     super_channel,
@@ -98,7 +98,7 @@ def _load_matrix(path: str) -> np.ndarray:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _parse_channel(obj, tol: float, seed: int) -> Channel:
+def _parse_channel(obj, tol: float, seed: int) -> Super:
     if not isinstance(obj, dict) or "type" not in obj:
         raise _InputError("channel JSON must be an object with a 'type' field")
     kind = obj["type"]
@@ -193,6 +193,15 @@ def _cmd_duality_roundtrip(args) -> tuple[dict, bool]:
 
 
 def _cmd_laws(args) -> tuple[dict, bool]:
+    if args.suite == "monad" or args.instance == "interval":
+        # both check one fixed exact carrier: there is nothing to size or sample
+        selector = "--suite monad" if args.suite == "monad" else "--instance interval"
+        for flag, value in (("--dim", args.dim), ("--samples", args.samples)):
+            if value is not None:
+                raise _InputError(f"{flag} does not apply to {selector}")
+    dim = 2 if args.dim is None else args.dim
+    samples = 200 if args.samples is None else args.samples
+
     if args.suite == "monad":
         result = algebra.monad_law_suite()
         passed = not result["violations"]
@@ -204,16 +213,16 @@ def _cmd_laws(args) -> tuple[dict, bool]:
         inst = effect.make_unit_interval()
     elif args.instance == "powerset":
         try:
-            inst = effect.make_powerset(args.dim)
+            inst = effect.make_powerset(dim)
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
     elif args.instance == "effects":
-        inst = effect.make_effects(args.dim, args.tol)
+        inst = effect.make_effects(dim, args.tol)
     elif args.instance == "projections":
-        inst = effect.make_projections(args.dim, args.tol)
+        inst = effect.make_projections(dim, args.tol)
     else:  # unreachable through argparse choices
         raise _InputError(f"unknown instance {args.instance!r}")
-    report = effect.law_suite(inst, samples=args.samples, seed=args.seed, tol=args.tol)
+    report = effect.law_suite(inst, samples=samples, seed=args.seed, tol=args.tol)
     return report.to_json(), report.all_pass
 
 
@@ -250,10 +259,7 @@ def _cmd_free_iso(args) -> tuple[dict, bool]:
 def _cmd_wp(args) -> tuple[dict, bool]:
     channel = _parse_channel(_load_json(args.channel), args.tol, args.seed)
     A = _load_matrix(args.effect)
-    try:
-        W = weakest_precondition(channel, A, args.tol)
-    except (ChannelError, DualityError) as exc:
-        raise _InputError(str(exc)) from exc
+    W = weakest_precondition(channel, A, args.tol)
     report = {"wp": matrix_to_json(W), "tol": args.tol}
     if not args.check_duality:
         return report, True
@@ -303,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["interval", "powerset", "effects", "projections"],
         default=None,
     )
-    p.add_argument("--dim", type=_positive_int, default=2, help="dimension / ground-set size")
-    p.add_argument("--samples", type=_positive_int, default=200)
+    p.add_argument("--dim", type=_positive_int, help="dimension / ground-set size (default 2)")
+    p.add_argument("--samples", type=_positive_int, help="sampled elements (default 200)")
     p.set_defaults(func=_cmd_laws)
 
     p = sub.add_parser("free-iso", parents=[common], help="free-construction isomorphism residuals")
@@ -333,10 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, passed = args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LinalgError, DualityError, algebra.AlgebraError, ChannelError) as exc:
+    except (_InputError, LinalgError, DualityError, algebra.AlgebraError, ChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.pretty)

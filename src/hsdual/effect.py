@@ -258,6 +258,8 @@ _MISSING = object()
 def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[list, bool]:
     if inst.universe is not None and len(inst.universe) <= _EXHAUSTIVE_CAP:
         return list(inst.universe), True
+    if samples < 1:
+        raise ValueError(f"a sampled law check needs samples >= 1, got {samples}")
     if inst.sampler is None:
         if inst.universe is not None:
             return list(inst.universe)[:samples], False
@@ -282,10 +284,11 @@ def law_suite(
     """Check every effect-algebra (and module, when present) axiom.
 
     Small enumerable carriers are checked exhaustively over all pairs and
-    triples; otherwise elements are drawn from the instance sampler.  Each
-    law reports how many instances were checked and the first counterexample
-    found, if any.  Carrier equality is the instance's own ``eq``; ``tol`` is
-    recorded in the report for downstream thresholds.
+    triples; otherwise ``samples`` elements are drawn from the instance
+    sampler (ValueError unless samples >= 1).  Each law reports how many
+    instances were checked and the first counterexample found, if any.
+    Carrier equality is the instance's own ``eq``; ``tol`` is recorded in
+    the report for downstream thresholds.
 
     Cost: each ordered pair of pool elements is summed at most once per run
     and shared by every law that needs it, so an exhaustive pool of n

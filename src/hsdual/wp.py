@@ -1,30 +1,29 @@
 """State transformers on densities and their predicate transformers.
 
-A channel maps density operators to density operators affinely.  Three
-shapes are supported: conjugation by a unitary, a convex mixture of
-channels, and a raw superoperator matrix acting on row-major vectorized
-densities.  They share one semantics: ``to_super`` turns any of them into
-its superoperator, and every action on a density (``apply_channel``, the
-validation of the raw form, the pre-expectation inside ``wp``) is a matvec
-with that matrix.  Complete positivity is deliberately not required --
-validity is trace preservation plus positivity, spot-checked on 20 sampled
-densities for the raw form.
+A channel maps density operators to density operators affinely, and it is
+its superoperator: a ``Super`` holds the (dim_out^2 x dim_in^2) matrix on
+row-major vectorized densities as its own read-only copy, so the matrix a
+constructor validated is the one every later use reads.  The constructors
+``unitary_channel``, ``mixture_channel`` and ``super_channel`` validate
+their input and compute that matrix once; every action on a density
+(``apply_channel``, the validation of the raw form, the pre-expectation
+inside ``wp``) is a product with it.  Complete positivity is deliberately
+not required -- validity is trace preservation plus positivity,
+spot-checked on 20 sampled densities for the raw form.
 
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
 computed by handing the pre-expectation functional rho |-> tr(f(rho) A) to
 the generic duality inversion -- no structure of f is consulted.  The
 functional evaluates a stack of densities with one matmul by the channel's
-superoperator.  For a
-unitary channel the closed form U^dagger A U exists and is used in the test
-suite as an oracle, never here.
+superoperator.  For a unitary channel the closed form U^dagger A U exists
+and is used in the test suite as an oracle, never here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -51,51 +50,42 @@ class NotEffect(ChannelError):
 
 
 @dataclass(frozen=True)
-class Unitary:
-    matrix: np.ndarray
-
-    @property
-    def dim_in(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim_out(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Mixture:
-    weights: FormalSum
-    parts: tuple
-
-    @property
-    def dim_in(self) -> int:
-        return self.parts[0].dim_in
-
-    @property
-    def dim_out(self) -> int:
-        return self.parts[0].dim_out
-
-
-@dataclass(frozen=True)
 class Super:
-    """Row-major vectorized action: (dim_out^2 x dim_in^2) complex matrix."""
+    """A channel as its row-major vectorized action.
+
+    ``matrix`` is the (dim_out^2 x dim_in^2) complex superoperator.  The
+    channel keeps its own read-only copy, so changing the array it was built
+    from afterwards changes nothing.
+    """
 
     dim_in: int
     dim_out: int
     matrix: np.ndarray
 
+    def __post_init__(self) -> None:
+        M = np.array(self.matrix, dtype=np.complex128)
+        M.setflags(write=False)
+        object.__setattr__(self, "matrix", M)
 
-Channel = Union[Unitary, Mixture, Super]
+
+@dataclass(frozen=True)
+class Mixture(Super):
+    """A convex mixture: its superoperator plus the exact weights it mixes."""
+
+    weights: FormalSum
 
 
-def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Unitary:
-    """Conjugation rho |-> U rho U^dagger; U must be unitary within tol."""
+def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
+    """Conjugation rho |-> U rho U^dagger; U must be unitary within tol.
+
+    Row-major vectorization turns A B C into (A kron C^T) vec(B), so the
+    superoperator is kron(U, conj(U)).
+    """
     U = as_matrix(U)
     n = U.shape[0]
     if max_norm(U.conj().T @ U - identity(n)) > tol:
         raise InvalidChannel("matrix is not unitary within tolerance")
-    return Unitary(U)
+    return Super(n, n, np.kron(U, U.conj()))
 
 
 def _exact_weight(w) -> Fraction:
@@ -110,6 +100,8 @@ def mixture_channel(weights, parts, tol: float = DEFAULT_TOL) -> Mixture:
     ``weights`` is a FormalSum distribution keyed 0..k-1, or a plain list of
     values summing to exactly 1: strings parse as fractions ("1/3"), floats
     through their decimal literal (0.1 is 1/10), and booleans are refused.
+    The mixture's matrix is the convex combination of its parts' matrices,
+    computed here once.
     """
     parts = tuple(parts)
     if not parts:
@@ -125,7 +117,8 @@ def mixture_channel(weights, parts, tol: float = DEFAULT_TOL) -> Mixture:
     dims = {(p.dim_in, p.dim_out) for p in parts}
     if len(dims) != 1:
         raise InvalidChannel("mixture parts must share dimensions")
-    return Mixture(weights, parts)
+    env = {key: parts[int(key)].matrix for key in weights.support()}
+    return Mixture(*dims.pop(), interpret(convex_state_carrier(env), weights), weights)
 
 
 #: Seeded densities on which super_channel validates a raw superoperator.
@@ -163,50 +156,39 @@ def super_channel(
     return Super(dim_in, dim_out, M)
 
 
-def to_super(ch: Channel) -> np.ndarray:
-    """The channel's matrix on row-major vectorized operators.
-
-    This is the only place that reads a channel's shape; everything else acts
-    through the matrix it returns.  For conjugation by U it is kron(U,
-    conj(U)), because row-major vectorization turns A B C into
-    (A kron C^T) vec(B); a mixture is the convex combination of its parts'
-    matrices; a raw superoperator is its own matrix (copied).
-    """
-    if isinstance(ch, Unitary):
-        return np.kron(ch.matrix, ch.matrix.conj())
-    if isinstance(ch, Mixture):
-        env = {key: to_super(ch.parts[int(key)]) for key in ch.weights.support()}
-        return interpret(convex_state_carrier(env), ch.weights)
-    if isinstance(ch, Super):
-        return ch.matrix.copy()
-    raise ChannelError(f"not a channel: {ch!r}")
+def to_super(ch: Super) -> np.ndarray:
+    """A writable copy of the channel's matrix on row-major vectorized operators."""
+    if not isinstance(ch, Super):
+        raise ChannelError(f"not a channel: {ch!r}")
+    return ch.matrix.copy()
 
 
 def _act(S: np.ndarray, rho: np.ndarray, dim_out: int) -> np.ndarray:
-    """The image of rho under the superoperator S: S vec(rho), unvectorized."""
-    return (S @ rho.reshape(-1)).reshape(dim_out, dim_out)
+    """S vec(rho), unvectorized: the image of one density, or of each in a (b, n, n) stack."""
+    lead = rho.shape[:-2]
+    return np.matmul(S, rho.reshape(*lead, -1, 1)).reshape(*lead, dim_out, dim_out)
 
 
-def apply_channel(ch: Channel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def apply_channel(ch: Super, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply the channel to a density operator (NotDensity otherwise)."""
     rho = as_matrix(rho)
     if rho.shape[0] != ch.dim_in:
         raise NotDensity(f"density dim {rho.shape[0]} != channel input dim {ch.dim_in}")
     if not in_kind(rho, OperatorKind.DENSITY, tol):
         raise NotDensity("channel input does not classify as a density operator")
-    return _act(to_super(ch), rho, ch.dim_out)
+    return _act(ch.matrix, rho, ch.dim_out)
 
 
-def compose(g: Channel, f: Channel) -> Super:
+def compose(g: Super, f: Super) -> Super:
     """The channel doing f first, then g (as a raw superoperator)."""
     if f.dim_out != g.dim_in:
         raise InvalidChannel(
             f"cannot compose: inner output dim {f.dim_out} != outer input dim {g.dim_in}"
         )
-    return Super(f.dim_in, g.dim_out, to_super(g) @ to_super(f))
+    return Super(f.dim_in, g.dim_out, g.matrix @ f.matrix)
 
 
-def wp(ch: Channel, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Weakest precondition: the effect W with tr(f(rho) A) = tr(rho W).
 
     A must be an effect on the channel's output space (NotEffect otherwise).
@@ -222,13 +204,9 @@ def wp(ch: Channel, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotEffect("the predicate does not classify as an effect")
 
     Afixed = A.copy()
-    S = to_super(ch)
 
     def pre_expectations(rhos: np.ndarray) -> np.ndarray:
-        # One stacked matmul: image b is S vec(rho_b), unvectorized, as _act
-        # computes it for one density.
-        images = np.matmul(S, rhos.reshape(len(rhos), -1, 1)).reshape(-1, ch.dim_out, ch.dim_out)
-        return np.trace(images @ Afixed, axis1=1, axis2=2)
+        return np.trace(_act(ch.matrix, rhos, ch.dim_out) @ Afixed, axis1=1, axis2=2)
 
     h = Functional(
         OperatorKind.EFFECT,
@@ -244,8 +222,6 @@ def wp(ch: Channel, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 __all__ = [
-    "Channel",
-    "Unitary",
     "Mixture",
     "Super",
     "ChannelError",

@@ -171,7 +171,7 @@ def test_free_construction_isomorphisms_and_scalar_carriers():
 
 def test_monad_laws_exhaustive_zero_violations():
     """Unit and flatten laws hold exactly on all small carriers."""
-    result = monad_law_suite(max_carrier=3)
+    result = monad_law_suite()
     assert result["violations"] == [], result["violations"]
     assert result["checked"] > 0
 

@@ -262,6 +262,10 @@ def test_missing_file_exits_two(capsys, tmp_path):
         ["laws", "--instance", "effects", "--samples", "0"],
         ["laws", "--suite", "monad", "--instance", "interval"],
         ["laws", "--instance", "powerset", "--suite", "monad"],
+        ["laws", "--instance", "interval", "--dim", "3"],
+        ["laws", "--instance", "interval", "--samples", "3"],
+        ["laws", "--suite", "monad", "--dim", "7", "--samples", "3"],
+        ["laws", "--suite", "monad", "--samples", "3"],
         ["--tol", "nan", "free-iso", "--which", "r"],
         ["free-iso", "--which", "r", "--tol", "inf"],
         ["--tol", "-1", "free-iso", "--which", "r"],

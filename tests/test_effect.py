@@ -138,6 +138,13 @@ def test_projections_law_suite_dim3():
     assert report.all_pass, report.to_json()
 
 
+@pytest.mark.parametrize("make, samples", [(make_effects, 0), (make_projections, -3)])
+def test_sampled_law_suite_refuses_fewer_than_one_sample(make, samples):
+    # an empty sample would pass every law having checked nothing
+    with pytest.raises(ValueError):
+        law_suite(make(2), samples=samples)
+
+
 # --- the suite catches planted bugs ----------------------------------------------
 
 

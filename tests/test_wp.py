@@ -14,6 +14,7 @@ from hsdual.algebra import NotDistribution
 from hsdual.linalg import approx_eq, identity, max_norm, trace
 from hsdual.operators import OperatorKind, sample, sample_unitary
 from hsdual.wp import (
+    ChannelError,
     InvalidChannel,
     NotDensity,
     NotEffect,
@@ -152,6 +153,46 @@ def test_compose_is_sequential_application():
 def test_compose_rejects_dimension_clash():
     with pytest.raises(InvalidChannel):
         compose(_id_channel(3), _id_channel(2))
+
+
+# --- channels own their matrices ----------------------------------------------------
+
+
+def _snapshot(ch, rhos):
+    return [apply_channel(ch, rho).tobytes() for rho in rhos] + [to_super(ch).tobytes()]
+
+
+def test_channels_ignore_later_changes_to_the_caller_arrays():
+    rhos = [sample(OperatorKind.DENSITY, 2, seed) for seed in range(3)]
+    U, V = sample_unitary(2, 1), sample_unitary(2, 2)
+    M = np.kron(U, U.conj())
+    weights = [Fraction(1, 3), Fraction(2, 3)]
+    channels = [
+        super_channel(2, 2, M),
+        unitary_channel(U),
+        mixture_channel(weights, [unitary_channel(V), _x_channel()]),
+    ]
+    before = [_snapshot(ch, rhos) for ch in channels]
+    M[3, 3] = -5  # read through, this would map densities to non-positive operators
+    U[0, 0] = 3
+    V[1, 0] = 4
+    weights.reverse()
+    assert [_snapshot(ch, rhos) for ch in channels] == before
+
+
+def test_channel_matrix_is_read_only_and_to_super_copies_it():
+    ch = _x_channel()
+    assert not ch.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        ch.matrix[0, 0] = 2
+    S = to_super(ch)
+    S[0, 0] = 2
+    assert ch.matrix[0, 0] == 0 and to_super(ch)[0, 0] == 0
+
+
+def test_to_super_refuses_a_non_channel():
+    with pytest.raises(ChannelError):
+        to_super(mat([[0, 1], [1, 0]]))
 
 
 # --- wp ------------------------------------------------------------------------------
