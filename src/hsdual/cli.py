@@ -222,6 +222,11 @@ def _cmd_laws(args) -> tuple[dict, bool]:
         inst = effect.make_projections(dim, args.tol)
     else:  # unreachable through argparse choices
         raise _InputError(f"unknown instance {args.instance!r}")
+    if args.samples is not None and effect.checks_exhaustively(inst):
+        raise _InputError(
+            f"--samples does not apply to --instance {args.instance} --dim {dim}: "
+            f"all {len(inst.universe)} elements are checked"
+        )
     report = effect.law_suite(inst, samples=samples, seed=args.seed, tol=args.tol)
     return report.to_json(), report.all_pass
 

@@ -255,8 +255,17 @@ _EXHAUSTIVE_CAP = 40
 _MISSING = object()
 
 
+def checks_exhaustively(inst: EffectInstance) -> bool:
+    """Whether ``law_suite`` checks every element of ``inst``'s carrier.
+
+    True when the instance enumerates a universe of at most 40 elements; its
+    ``samples`` argument is then not used.
+    """
+    return inst.universe is not None and len(inst.universe) <= _EXHAUSTIVE_CAP
+
+
 def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[list, bool]:
-    if inst.universe is not None and len(inst.universe) <= _EXHAUSTIVE_CAP:
+    if checks_exhaustively(inst):
         return list(inst.universe), True
     if samples < 1:
         raise ValueError(f"a sampled law check needs samples >= 1, got {samples}")
@@ -486,4 +495,5 @@ __all__ = [
     "make_effects",
     "make_projections",
     "law_suite",
+    "checks_exhaustively",
 ]

@@ -8,7 +8,11 @@ behaviour (convergence criterion, sweep budget, eigenvalue ordering) is
 pinned down by this module alone.  ``hermitian_eig`` is the package's only
 way to ask for a spectrum: it checks Hermiticity at the caller's tolerance,
 symmetrizes its input and converges to min(tol, EIG_TOL), floored at machine
-epsilon.
+epsilon.  Its keyword ``vectors`` says whether the caller needs eigenvectors:
+with ``vectors=False`` the sweeps skip accumulating the rotations, which
+leaves the eigenvalues bit-identical and returns ``vectors=None``.  Kind
+checks read only the spectrum; a full decomposition is for callers that
+rebuild operators from the eigenpairs.
 """
 
 from __future__ import annotations
@@ -113,14 +117,20 @@ class EigenDecomposition:
 
     ``eigenvalues`` is real and sorted in descending order; column j of
     ``vectors`` is a unit eigenvector for ``eigenvalues[j]``, and the columns
-    are mutually orthonormal.
+    are mutually orthonormal.  ``vectors`` is None when the decomposition
+    was computed with ``hermitian_eig(..., vectors=False)``; ``reconstruct``
+    then raises ValueError.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
     def reconstruct(self) -> np.ndarray:
         V = self.vectors
+        if V is None:
+            raise ValueError(
+                "no eigenvectors to reconstruct from: hermitian_eig ran with vectors=False"
+            )
         return (V * self.eigenvalues) @ V.conj().T
 
 
@@ -133,7 +143,9 @@ def _diag_mass(A: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(np.diag(A)) ** 2)))
 
 
-def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
+def hermitian_eig(
+    A: np.ndarray, tol: float = DEFAULT_TOL, *, vectors: bool = True
+) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     The input must be Hermitian within tol (max-norm), else NotHermitian is
@@ -144,6 +156,11 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
     threshold at tol; the target is floored at machine epsilon, which a tighter
     tol cannot improve on.  If 100 sweeps do not get there, NoConvergence is
     raised.
+
+    With ``vectors=False`` the rotations are not accumulated into an
+    eigenvector matrix and the result's ``vectors`` is None.  The rotations
+    of the matrix itself are unchanged, so the eigenvalues are bit-identical
+    to those of a full decomposition.
     """
     A = as_matrix(A)
     if not is_hermitian(A, tol):
@@ -153,7 +170,7 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
     n = A.shape[0]
     tol = max(min(tol, EIG_TOL), _EIG_FLOOR)
     H = (A + A.conj().T) / 2.0
-    V = np.eye(n, dtype=np.complex128)
+    V = np.eye(n, dtype=np.complex128) if vectors else None
 
     if n == 1:
         return EigenDecomposition(np.array([H[0, 0].real]), V)
@@ -199,10 +216,11 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
                 H[p, p] = H[p, p].real
                 H[q, q] = H[q, q].real
 
-                vcolp = c * V[:, p] + s * V[:, q]
-                vcolq = -s.conjugate() * V[:, p] + c * V[:, q]
-                V[:, p] = vcolp
-                V[:, q] = vcolq
+                if V is not None:
+                    vcolp = c * V[:, p] + s * V[:, q]
+                    vcolq = -s.conjugate() * V[:, p] + c * V[:, q]
+                    V[:, p] = vcolp
+                    V[:, q] = vcolq
     else:
         converged = _offdiag_mass(H) <= tol * _diag_mass(H)
 
@@ -213,7 +231,7 @@ def hermitian_eig(A: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition
 
     eigs = np.diag(H).real.copy()
     order = np.argsort(-eigs, kind="stable")
-    return EigenDecomposition(eigs[order].copy(), V[:, order].copy())
+    return EigenDecomposition(eigs[order].copy(), None if V is None else V[:, order].copy())
 
 
 # --- JSON encoding ----------------------------------------------------------

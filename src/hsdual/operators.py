@@ -10,7 +10,10 @@ threshold (positive, effect, density).  Both read their thresholds from one
 private owner, so they cannot disagree.  Every spectrum comes from
 :func:`hsdual.linalg.hermitian_eig`, called with the caller's matrix and tol
 as they are: it owns the Hermiticity check, the symmetrization and the
-convergence target, min(tol, 1e-12) floored at machine epsilon.
+convergence target, min(tol, 1e-12) floored at machine epsilon.  Only
+``pos_neg_split`` rebuilds operators from eigenpairs, so it alone asks for
+eigenvectors; ``classify``, ``in_kind``, ``loewner_leq`` and the effect
+sampler read the spectrum alone (``vectors=False``).
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def classify(A: np.ndarray, tol: float = DEFAULT_TOL) -> KindReport:
     A = as_matrix(A)
     if not is_hermitian(A, tol):
         return KindReport((OperatorKind.BOUNDED,), None)
-    eigenvalues = tuple(float(x) for x in hermitian_eig(A, tol).eigenvalues)
+    eigenvalues = tuple(float(x) for x in hermitian_eig(A, tol, vectors=False).eigenvalues)
     kinds = tuple(k for k in KIND_ORDER if _meets(k, A, tol, eigenvalues))
     return KindReport(kinds, eigenvalues)
 
@@ -132,7 +135,7 @@ def in_kind(A: np.ndarray, kind: OperatorKind, tol: float = DEFAULT_TOL) -> bool
         return True
     if not is_hermitian(A, tol):
         return False
-    eigenvalues = hermitian_eig(A, tol).eigenvalues if kind in _SPECTRAL else None
+    eigenvalues = hermitian_eig(A, tol, vectors=False).eigenvalues if kind in _SPECTRAL else None
     return _meets(kind, A, tol, eigenvalues)
 
 
@@ -162,7 +165,7 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
     NotHermitian if B - A is not self-adjoint within tol.
     """
-    dec = hermitian_eig(as_matrix(B) - as_matrix(A), tol)
+    dec = hermitian_eig(as_matrix(B) - as_matrix(A), tol, vectors=False)
     return float(dec.eigenvalues[-1]) >= -tol
 
 
@@ -220,7 +223,7 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
     if kind == OperatorKind.EFFECT:
         G = _gaussian(rng, dim)
         H = (G + G.conj().T) / 2.0
-        eigs = hermitian_eig(H).eigenvalues
+        eigs = hermitian_eig(H, vectors=False).eigenvalues
         lo = float(eigs[-1])
         hi = float(eigs[0])
         if hi - lo > 1e-9:

@@ -9,7 +9,8 @@ their input and compute that matrix once; every action on a density
 (``apply_channel``, the validation of the raw form, the pre-expectation
 inside ``wp``) is a product with it.  Complete positivity is deliberately
 not required -- validity is trace preservation plus positivity,
-spot-checked on 20 sampled densities for the raw form.
+spot-checked on 20 sampled densities for the raw form.  Every function that
+takes a channel raises ChannelError when handed anything else.
 
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
@@ -75,6 +76,13 @@ class Mixture(Super):
     weights: FormalSum
 
 
+def _require_channel(ch) -> Super:
+    """``ch`` itself if it is a channel; ChannelError otherwise."""
+    if not isinstance(ch, Super):
+        raise ChannelError(f"not a channel: {ch!r}")
+    return ch
+
+
 def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
     """Conjugation rho |-> U rho U^dagger; U must be unitary within tol.
 
@@ -103,7 +111,7 @@ def mixture_channel(weights, parts, tol: float = DEFAULT_TOL) -> Mixture:
     The mixture's matrix is the convex combination of its parts' matrices,
     computed here once.
     """
-    parts = tuple(parts)
+    parts = tuple(_require_channel(p) for p in parts)
     if not parts:
         raise InvalidChannel("a mixture needs at least one part")
     if not isinstance(weights, FormalSum):
@@ -158,9 +166,7 @@ def super_channel(
 
 def to_super(ch: Super) -> np.ndarray:
     """A writable copy of the channel's matrix on row-major vectorized operators."""
-    if not isinstance(ch, Super):
-        raise ChannelError(f"not a channel: {ch!r}")
-    return ch.matrix.copy()
+    return _require_channel(ch).matrix.copy()
 
 
 def _act(S: np.ndarray, rho: np.ndarray, dim_out: int) -> np.ndarray:
@@ -171,6 +177,7 @@ def _act(S: np.ndarray, rho: np.ndarray, dim_out: int) -> np.ndarray:
 
 def apply_channel(ch: Super, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply the channel to a density operator (NotDensity otherwise)."""
+    _require_channel(ch)
     rho = as_matrix(rho)
     if rho.shape[0] != ch.dim_in:
         raise NotDensity(f"density dim {rho.shape[0]} != channel input dim {ch.dim_in}")
@@ -181,6 +188,8 @@ def apply_channel(ch: Super, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.nd
 
 def compose(g: Super, f: Super) -> Super:
     """The channel doing f first, then g (as a raw superoperator)."""
+    _require_channel(g)
+    _require_channel(f)
     if f.dim_out != g.dim_in:
         raise InvalidChannel(
             f"cannot compose: inner output dim {f.dim_out} != outer input dim {g.dim_in}"
@@ -197,6 +206,7 @@ def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     channels that are not actually positive -- NotEffect is raised rather
     than clamping.
     """
+    _require_channel(ch)
     A = as_matrix(A)
     if A.shape[0] != ch.dim_out:
         raise NotEffect(f"effect dim {A.shape[0]} != channel output dim {ch.dim_out}")

@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,54 @@ def test_laws_reports_are_byte_identical_to_pinned_digests(capsys, argv, seed):
     code, out, _ = _run(capsys, ["--seed", str(seed), *argv.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _LAWS_STDOUT_SHA256[argv][seed]
+
+
+#: sha256 of the stdout of ``hsdual --seed k <argv>`` for k = 0, 1, 2, run
+#: from the repository root.  Kind checks read spectra without eigenvectors;
+#: these reports must stay byte-identical to those of a full decomposition.
+_SPECTRAL_STDOUT_SHA256 = {
+    "classify --matrix examples/state.json": (
+        "855486d678a6e6047299d68dc216ce1a12479341879152eaa0d2fe7aff2383b3",
+    )
+    * 3,
+    "wp --channel examples/flip.json --effect examples/p0.json --check-duality 20": (
+        "9c99d84da655f12b53597692f33f947f122c69c7964919787bbd592a4a329177",
+    )
+    * 3,
+    "duality-roundtrip --kind effect --dim 5": (
+        "1a8a82fa4fd79b54358f2aad552df1279737a877e2da528b3e80145793eb4c52",
+        "1a8a82fa4fd79b54358f2aad552df1279737a877e2da528b3e80145793eb4c52",
+        "59e8d40beb4e2b7224332ce688d51f8e85438dfa1d6d52ffc50751c7cc1e9256",
+    ),
+    "free-iso --which chain --dim 3": (
+        "0d6bfe4a2347ecd8d5515e805cd1580c4ec46464ae5796fd8d5357f323b0e8e3",
+        "72a150af9e2979c89d324be3b07df3e10ca460ac95acc103ad5fc0c809d27c22",
+        "374b62a7b57ea0de058529531eff293dd8d4eb49d39355d9cb76709718d383b4",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("argv", sorted(_SPECTRAL_STDOUT_SHA256))
+def test_spectral_reports_are_byte_identical_to_pinned_digests(capsys, monkeypatch, argv, seed):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    code, out, _ = _run(capsys, ["--seed", str(seed), *argv.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SPECTRAL_STDOUT_SHA256[argv][seed]
+
+
+@pytest.mark.parametrize("dim", ["3", "5"])
+def test_samples_on_an_exhaustive_powerset_exits_two(capsys, dim):
+    code, out, err = _run(capsys, ["laws", "--instance", "powerset", "--dim", dim, "--samples", "3"])
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
+def test_samples_on_a_sampled_powerset_is_used(capsys):
+    argv = ["laws", "--instance", "powerset", "--dim", "6"]
+    reports = [json.loads(_run(capsys, [*argv, "--samples", k])[1]) for k in ("3", "7")]
+    assert [r["laws"][0]["checked"] for r in reports] == [5, 9]
 
 
 def test_seed_changes_sampled_residuals(capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from hsdual.effect import (
     EffectInstance,
+    checks_exhaustively,
     law_suite,
     make_effects,
     make_powerset,
@@ -87,6 +88,23 @@ def test_powerset_law_suite():
     report = law_suite(make_powerset(3))
     assert report.all_pass
 
+
+@pytest.mark.parametrize(
+    "make, exhaustive",
+    [
+        (make_unit_interval, True),
+        (lambda: make_powerset(5), True),
+        (lambda: make_powerset(6), False),
+        (lambda: make_effects(2), False),
+        (lambda: make_projections(2), False),
+    ],
+    ids=["interval", "powerset-5", "powerset-6", "effects-2", "projections-2"],
+)
+def test_checks_exhaustively_says_whether_samples_matter(make, exhaustive):
+    inst = make()
+    assert checks_exhaustively(inst) is exhaustive
+    checked = {law_suite(inst, samples=k).entries[0].checked for k in (3, 4)}
+    assert (len(checked) == 1) is exhaustive
 
 def test_powerset_rejects_silly_sizes():
     with pytest.raises(ValueError):

@@ -231,6 +231,52 @@ def test_eig_convergence_target_is_floored_at_machine_epsilon():
         assert max_norm(tiny.reconstruct() - H) <= 1e-13
 
 
+def _spectrum_cases():
+    """512 seeded Hermitian matrices, dims 1-8: general, positive semidefinite,
+    rank-deficient and diagonal (with repeated entries)."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for dim in range(1, 9):
+        for _ in range(16):
+            G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            cols = G[:, : int(rng.integers(0, dim))]
+            for H in (G, G @ G.conj().T / dim, cols @ cols.conj().T):
+                # exactly Hermitian, so that even tol = 5e-324 admits it
+                cases.append((H + H.conj().T) / 2)
+            cases.append(np.diag(rng.integers(-2, 3, size=dim) / 2).astype(np.complex128))
+    return cases
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 5e-324])
+def test_eig_without_vectors_has_bit_identical_eigenvalues(tol):
+    cases = _spectrum_cases()
+    assert len(cases) >= 500
+    for H in cases:
+        full = hermitian_eig(H, tol)
+        spectrum = hermitian_eig(H, tol, vectors=False)
+        assert spectrum.vectors is None
+        assert np.array_equal(spectrum.eigenvalues, full.eigenvalues)
+
+
+def test_eig_without_vectors_rejects_non_hermitian_alike():
+    A = mat([[0, 1], [0, 0]])
+    with pytest.raises(NotHermitian) as full:
+        hermitian_eig(A)
+    with pytest.raises(NotHermitian) as spectrum:
+        hermitian_eig(A, vectors=False)
+    assert str(spectrum.value) == str(full.value)
+
+
+def test_eig_vectors_flag_is_keyword_only():
+    with pytest.raises(TypeError):
+        hermitian_eig(identity(2), DEFAULT_TOL, False)
+
+
+def test_reconstruct_needs_vectors():
+    with pytest.raises(ValueError, match="vectors=False"):
+        hermitian_eig(identity(2), vectors=False).reconstruct()
+
+
 def test_noconvergence_is_raisable():
     # The solver converges on everything well-conditioned we can build, so
     # just pin the exception type into the public contract.

@@ -4,7 +4,8 @@ hs_inverse hands each probe set to ``Functional.on_stack``: one call of a
 stacked evaluator, or one ``eval`` call per probe.  The two paths must see
 the same probes in the same order, reconstruct the same operator, and reject
 the same dishonest functionals with the same exception class.  Kind checks
-that need no spectrum must not run the eigensolver.
+that need no spectrum must not run the eigensolver, and those that need one
+must not ask it for eigenvectors: only pos_neg_split does.
 """
 
 import numpy as np
@@ -166,3 +167,43 @@ def test_round_trip_eigensolves_only_for_spectral_kinds(eigensolves, kind, solve
         eigensolves.clear()
         hs_inverse(kind, f)
         assert len(eigensolves) == solves, ("hs_inverse", kind, dim)
+
+
+@pytest.fixture
+def vector_requests(monkeypatch):
+    """The ``vectors`` flag of every hermitian_eig call, in call order."""
+    requests = []
+    real = operators.hermitian_eig
+
+    def recorded(A, tol=operators.DEFAULT_TOL, *, vectors=True):
+        requests.append(vectors)
+        return real(A, tol, vectors=vectors)
+
+    monkeypatch.setattr(operators, "hermitian_eig", recorded)
+    return requests
+
+
+def _kind_checks():
+    A = sample(SA, 3, 1)
+    ch = unitary_channel(operators.sample_unitary(3, 2))
+    return {
+        "classify": lambda: operators.classify(A),
+        "in_kind": lambda: [operators.in_kind(A, k) for k in (POS, EF, DM)],
+        "loewner_leq": lambda: operators.loewner_leq(sample(EF, 3, 3), identity(3)),
+        "sample(EFFECT)": lambda: sample(EF, 3, 4),
+        "super_channel": lambda: super_channel(3, 3, to_super(ch)),
+        "wp": lambda: wp(ch, sample(EF, 3, 5)),
+        "round trips": lambda: [hs_inverse(k, hs_forward(k, sample(k, 3, 6))) for k in DUAL_KINDS],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kind_checks()))
+def test_kind_checks_never_request_eigenvectors(vector_requests, name):
+    _kind_checks()[name]()
+    assert vector_requests and not any(vector_requests), name
+
+
+def test_pos_neg_split_requests_eigenvectors(vector_requests):
+    P, N = operators.pos_neg_split(sample(SA, 3, 7))
+    assert vector_requests == [True]
+    assert max_norm(P - N - sample(SA, 3, 7)) <= 1e-12

@@ -195,6 +195,24 @@ def test_to_super_refuses_a_non_channel():
         to_super(mat([[0, 1], [1, 0]]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mixture_channel([1], ["x"]),
+        lambda: mixture_channel(["1/2", "1/2"], [_x_channel(), mat([[0, 1], [1, 0]])]),
+        lambda: apply_channel("x", identity(2) / 2),
+        lambda: compose(_x_channel(), "x"),
+        lambda: compose(None, _x_channel()),
+        lambda: wp("x", identity(2)),
+    ],
+    ids=["mixture part", "mixture array part", "apply", "compose inner", "compose outer", "wp"],
+)
+def test_non_channel_arguments_raise_channel_error(call):
+    with pytest.raises(ChannelError, match="not a channel"):
+        call()
+
+
+
 # --- wp ------------------------------------------------------------------------------
 
 
