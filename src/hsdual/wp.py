@@ -3,14 +3,17 @@
 A channel maps density operators to density operators affinely, and it is
 its superoperator: a ``Super`` holds the (dim_out^2 x dim_in^2) matrix on
 row-major vectorized densities as its own read-only copy, so the matrix a
-constructor validated is the one every later use reads.  The constructors
-``unitary_channel``, ``mixture_channel`` and ``super_channel`` validate
-their input and compute that matrix once; every action on a density
+constructor validated is the one every later use reads.  Only the
+constructors ``unitary_channel``, ``mixture_channel`` and ``super_channel``
+(and ``compose``, from two channels) make a ``Super``: they validate their
+input and compute that matrix once; every action on a density
 (``apply_channel``, the validation of the raw form, the pre-expectation
 inside ``wp``) is a product with it.  Complete positivity is deliberately
-not required -- validity is trace preservation plus positivity,
-spot-checked on 20 sampled densities for the raw form.  Every function that
-takes a channel raises ChannelError when handed anything else.
+not required -- validity is trace preservation plus positivity.  For the
+raw form, trace preservation is linear and checked exactly; positivity is
+spot-checked on 20 sampled pure states, the extreme points of the
+densities.  Every function that takes a channel raises ChannelError when
+handed anything else.
 
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
@@ -29,9 +32,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import FormalSum, Semiring, convex_state_carrier, formal_sum, interpret
-from .duality import Functional, NotInKind, hs_inverse
-from .linalg import DEFAULT_TOL, as_matrix, identity, max_norm, trace
-from .operators import OperatorKind, in_kind, sample
+from .duality import DualityError, Functional, hs_inverse
+from .linalg import DEFAULT_TOL, as_matrix, identity, max_norm
+from .operators import OperatorKind, in_kind
 
 
 class ChannelError(Exception):
@@ -50,30 +53,37 @@ class NotEffect(ChannelError):
     """The predicate (or the reconstructed precondition) is not an effect."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Super:
     """A channel as its row-major vectorized action.
 
     ``matrix`` is the (dim_out^2 x dim_in^2) complex superoperator.  The
     channel keeps its own read-only copy, so changing the array it was built
-    from afterwards changes nothing.
+    from afterwards changes nothing.  Only the constructors make one
+    (``Super(...)`` raises TypeError), so every channel has been validated.
+    Channels compare and hash by identity.
     """
 
     dim_in: int
     dim_out: int
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        M = np.array(self.matrix, dtype=np.complex128)
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Mixture(Super):
     """A convex mixture: its superoperator plus the exact weights it mixes."""
 
     weights: FormalSum
+
+
+def _channel(cls, dim_in: int, dim_out: int, matrix, **fields) -> Super:
+    """A new ``cls`` holding its own read-only complex128 copy of ``matrix``."""
+    M = np.array(matrix, dtype=np.complex128)
+    M.setflags(write=False)
+    ch = object.__new__(cls)
+    for name, value in dict(dim_in=dim_in, dim_out=dim_out, matrix=M, **fields).items():
+        object.__setattr__(ch, name, value)
+    return ch
 
 
 def _require_channel(ch) -> Super:
@@ -93,7 +103,7 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
     n = U.shape[0]
     if max_norm(U.conj().T @ U - identity(n)) > tol:
         raise InvalidChannel("matrix is not unitary within tolerance")
-    return Super(n, n, np.kron(U, U.conj()))
+    return _channel(Super, n, n, np.kron(U, U.conj()))
 
 
 def _exact_weight(w) -> Fraction:
@@ -126,10 +136,11 @@ def mixture_channel(weights, parts, tol: float = DEFAULT_TOL) -> Mixture:
     if len(dims) != 1:
         raise InvalidChannel("mixture parts must share dimensions")
     env = {key: parts[int(key)].matrix for key in weights.support()}
-    return Mixture(*dims.pop(), interpret(convex_state_carrier(env), weights), weights)
+    matrix = interpret(convex_state_carrier(env), weights)
+    return _channel(Mixture, *dims.pop(), matrix, weights=weights)
 
 
-#: Seeded densities on which super_channel validates a raw superoperator.
+#: Seeded pure states on which super_channel spot-checks positivity.
 VALIDATION_SAMPLES = 20
 
 
@@ -140,12 +151,18 @@ def super_channel(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> Super:
-    """A raw superoperator, validated behaviourally on sampled densities.
+    """A raw superoperator, validated as a trace-preserving positive map.
 
-    For VALIDATION_SAMPLES (20) densities rho, seeded ``seed``, ``seed + 1``,
-    ..., the image must have unit trace within tol and no eigenvalue below
-    -tol.  Complete positivity is not demanded.
+    Trace preservation is linear, so it is checked exactly: the output
+    diagonal rows of the matrix must sum to vec(I) within tol, entrywise.
+    Positivity is spot-checked on VALIDATION_SAMPLES (20) pure states drawn
+    from one generator seeded ``seed``: each image must have no eigenvalue
+    below -tol.  Pure states are the extreme points of the densities, so
+    they probe strictly more than mixed ones.  Complete positivity is not
+    demanded.
     """
+    if dim_in < 1 or dim_out < 1:
+        raise InvalidChannel(f"channel dimensions must be >= 1, got {dim_in} -> {dim_out}")
     M = np.asarray(matrix, dtype=np.complex128)
     if M.shape != (dim_out * dim_out, dim_in * dim_in):
         raise InvalidChannel(
@@ -153,15 +170,19 @@ def super_channel(
         )
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise InvalidChannel("superoperator entries must be finite")
-    for i in range(VALIDATION_SAMPLES):
-        out = _act(M, sample(OperatorKind.DENSITY, dim_in, seed + i), dim_out)
-        if abs(trace(out) - 1.0) > tol:
-            raise InvalidChannel(
-                f"trace not preserved on sampled density #{i}: tr = {trace(out):.12g}"
-            )
-        if not in_kind(out, OperatorKind.POSITIVE, tol):
-            raise InvalidChannel(f"positivity violated on sampled density #{i}")
-    return Super(dim_in, dim_out, M)
+    rng = np.random.default_rng(seed)
+    shape = (VALIDATION_SAMPLES, dim_in)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries may overflow
+        residual = max_norm(identity(dim_out).reshape(-1) @ M - identity(dim_in).reshape(-1))
+        if not residual <= tol:  # written so that a NaN residual fails
+            raise InvalidChannel(f"trace not preserved: max residual {residual:.3e}")
+        images = _act(M, v[:, :, None] * v[:, None, :].conj(), dim_out)
+    for i, out in enumerate(images):
+        if not (np.all(np.isfinite(out)) and in_kind(out, OperatorKind.POSITIVE, tol)):
+            raise InvalidChannel(f"positivity violated on sampled pure state #{i}")
+    return _channel(Super, dim_in, dim_out, M)
 
 
 def to_super(ch: Super) -> np.ndarray:
@@ -194,7 +215,7 @@ def compose(g: Super, f: Super) -> Super:
         raise InvalidChannel(
             f"cannot compose: inner output dim {f.dim_out} != outer input dim {g.dim_in}"
         )
-    return Super(f.dim_in, g.dim_out, g.matrix @ f.matrix)
+    return _channel(Super, f.dim_in, g.dim_out, g.matrix @ f.matrix)
 
 
 def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -202,9 +223,9 @@ def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     A must be an effect on the channel's output space (NotEffect otherwise).
     The pre-expectation functional is inverted through the generic duality
-    machinery; if the result fails to be an effect -- possible only for
-    channels that are not actually positive -- NotEffect is raised rather
-    than clamping.
+    machinery; if the inversion fails or its result is not an effect --
+    possible only for channels that are not actually positive -- NotEffect
+    is raised rather than clamping.
     """
     _require_channel(ch)
     A = as_matrix(A)
@@ -213,10 +234,8 @@ def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not in_kind(A, OperatorKind.EFFECT, tol):
         raise NotEffect("the predicate does not classify as an effect")
 
-    Afixed = A.copy()
-
     def pre_expectations(rhos: np.ndarray) -> np.ndarray:
-        return np.trace(_act(ch.matrix, rhos, ch.dim_out) @ Afixed, axis1=1, axis2=2)
+        return np.trace(_act(ch.matrix, rhos, ch.dim_out) @ A, axis1=1, axis2=2)
 
     h = Functional(
         OperatorKind.EFFECT,
@@ -227,8 +246,8 @@ def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     )
     try:
         return hs_inverse(OperatorKind.EFFECT, h, tol)
-    except NotInKind as exc:
-        raise NotEffect(f"reconstructed precondition left [0, I]: {exc}") from exc
+    except DualityError as exc:
+        raise NotEffect(f"no effect is the precondition: {exc}") from exc
 
 
 __all__ = [

@@ -1,16 +1,18 @@
 """End-to-end checks of the command-line interface.
 
 main() is invoked in-process with explicit argv; stdout is one JSON document
-per run, captured via capsys.  A single subprocess test pins the module
-entry point.
+per run, captured via capsys.  Subprocess tests pin the module entry point
+and its exit code when the reader of stdout has gone.
 """
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hsdual import cli, free
@@ -410,6 +412,38 @@ def test_module_entry_point(half_identity):
     assert proc.returncode == 0
     assert "Density" in json.loads(proc.stdout)["kinds"]
 
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["laws", "--instance", "powerset", "--dim", "4"], 0),
+        (["--tol", "1e-17", "free-iso", "--which", "chain", "--dim", "3", "--seeds", "4"], 1),
+    ],
+    ids=["pass", "fail"],
+)
+def test_closed_stdout_keeps_the_verdict_without_a_traceback(argv, verdict):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with a broken pipe
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsdual", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == verdict
+    assert proc.stderr == ""
+
+
+def test_dephasing_example_fixes_p0(capsys, monkeypatch):
+    # dephasing keeps the diagonal, so wp(dephase, |0><0|) is |0><0| again
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    argv = ["wp", "--channel", "examples/dephase.json", "--effect", "examples/p0.json", "--check-duality", "20"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is True
+    W = np.array([complex(*z) for z in report["wp"]["data"]]).reshape(2, 2)
+    assert np.abs(W - np.diag([1, 0])).max() <= 1e-9
 
 
 def _super_doc(dim_in, dim_out, rows, cols, data):

@@ -26,6 +26,7 @@ from hsdual.wp import (
     unitary_channel,
     wp,
 )
+from hsdual.wp import Mixture, Super, _channel
 
 from conftest import mat
 
@@ -278,3 +279,87 @@ def test_wp_rejects_non_effect_predicate():
         wp(_id_channel(2), 2.0 * identity(2))
     with pytest.raises(NotEffect):
         wp(_id_channel(2), sample(OperatorKind.EFFECT, 3, 0))
+
+
+# --- only the constructors make a channel -------------------------------------------
+
+
+def test_channel_types_cannot_be_built_directly():
+    with pytest.raises(TypeError):
+        Super(2, 2, -np.eye(4))  # would map every density rho to -rho
+    with pytest.raises(TypeError):
+        Mixture(2, 2, np.eye(4), None)
+
+
+def test_channels_compare_and_hash_by_identity():
+    ch = _id_channel(2)
+    mix = mixture_channel(["1/2", "1/2"], [ch, _x_channel()])
+    assert ch == ch and mix == mix
+    assert ch != _id_channel(2)
+    assert len({ch, _id_channel(2), mix, mix}) == 3
+    assert hash(ch) == hash(ch)
+
+
+def test_wp_on_a_non_positive_map_raises_not_effect():
+    # rho |-> -rho passes no validation; _channel builds it to reach wp's guard
+    with pytest.raises(NotEffect):
+        wp(_channel(Super, 2, 2, -np.eye(4)), identity(2))
+
+
+# --- super_channel: exact trace preservation, positivity on pure states -------------
+
+
+def _trace_breaker_off_the_samples(n):
+    """S = I + 0.05 vec(I/n) r^T with r as orthogonal as it gets to the vec
+    of the 20 densities sample(DENSITY, n, i), i < 20.
+
+    For n >= 5 (n^2 > 20) r is exactly orthogonal to them, so S preserves
+    the trace of every one of those densities, but not of every density.
+    """
+    samples = np.array([sample(OperatorKind.DENSITY, n, i).reshape(-1) for i in range(20)])
+    r = np.linalg.svd(samples)[2][-1].conj()
+    return np.eye(n * n) + 0.05 * np.outer((identity(n) / n).reshape(-1), r), samples @ r
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_super_channel_rejects_a_trace_breaker_the_densities_miss(n):
+    S, on_samples = _trace_breaker_off_the_samples(n)
+    if n >= 5:
+        assert np.abs(on_samples).max() <= 1e-12
+    with pytest.raises(InvalidChannel, match="trace"):
+        super_channel(n, n, S)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_super_channel_honours_tol_on_trace(tol):
+    # (1 + d) rho keeps positivity and misses trace 1 by d
+    super_channel(2, 2, (1 + 0.5 * tol) * np.eye(4), tol)
+    with pytest.raises(InvalidChannel, match="trace"):
+        super_channel(2, 2, (1 + 2 * tol) * np.eye(4), tol)
+
+
+@pytest.mark.parametrize("dims", [(0, 2), (2, 0), (0, 0), (-1, 2)])
+def test_super_channel_rejects_empty_dimensions(dims):
+    dim_in, dim_out = dims
+    with pytest.raises(InvalidChannel, match=">= 1"):
+        super_channel(dim_in, dim_out, np.zeros((max(dim_out, 0) ** 2, max(dim_in, 0) ** 2)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sign", [1, -1])
+def test_super_channel_rejects_huge_entries_without_warning(sign):
+    with pytest.raises(InvalidChannel):
+        super_channel(2, 2, np.full((4, 4), sign * 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+def test_super_channel_rejects_a_non_finite_image():
+    # Trace-preserving, but the off-diagonal output entries are
+    # h (1 +- 2 Re rho_01): one of them overflows for every pure state.
+    h = np.finfo(float).max
+    M = np.array([[1, 0, 0, 0], [h, h, h, h], [h, -h, -h, h], [0, 0, 0, 1]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(5):
+            assert not np.isfinite(M @ sample(OperatorKind.DENSITY, 2, seed).reshape(-1)).all()
+    with pytest.raises(InvalidChannel, match="positivity"):
+        super_channel(2, 2, M)
