@@ -89,7 +89,6 @@ from .operators import (
 from .wp import (
     ChannelError,
     InvalidChannel,
-    Mixture,
     NotDensity,
     NotEffect,
     Super,
@@ -122,7 +121,6 @@ __all__ = [
     "KindReport",
     "LawReport",
     "LinalgError",
-    "Mixture",
     "NoConvergence",
     "NotDensity",
     "NotDistribution",

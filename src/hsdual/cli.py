@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -70,6 +71,14 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
+def _dim(text: str) -> int:
+    """A positive dimension n whose n x n complex matrix, 16 n^2 bytes, is addressable."""
+    value = _positive_int(text)
+    if 16 * value * value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"dimension {value} is too large to allocate")
+    return value
+
+
 def _finite_positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -107,10 +116,8 @@ def _parse_channel(obj, tol: float, seed: int) -> Super:
         if kind == "unitary":
             return unitary_channel(matrix_from_json(obj["matrix"]), tol)
         if kind == "mixture":
-            if not isinstance(obj["weights"], list):
-                raise _InputError("mixture weights must be a JSON list")
             parts = [_parse_channel(p, tol, seed) for p in obj["parts"]]
-            return mixture_channel(obj["weights"], parts, tol)
+            return mixture_channel(obj["weights"], parts)
         if kind == "super":
             dim_in = int_from_json(obj["dim_in"], "super channel dim_in")
             dim_out = int_from_json(obj["dim_out"], "super channel dim_out")
@@ -123,7 +130,7 @@ def _parse_channel(obj, tol: float, seed: int) -> Super:
             return super_channel(dim_in, dim_out, M, tol, seed=seed)
     except _InputError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"malformed channel JSON: {exc}") from exc
     except InvalidChannel as exc:
         raise _InputError(f"invalid channel: {exc}") from exc
@@ -137,9 +144,17 @@ def _emit(report: dict, pretty: bool) -> None:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")), flush=True)
 
 
-def _seeds_from(seed: int, count: int) -> list[int]:
+#: Seeds drawn per call to the generator; chunked draws give the same sequence.
+_SEED_CHUNK = 4096
+
+
+def _seeds_from(seed: int, count: int) -> Iterator[int]:
+    """The ``count`` check seeds of master seed ``seed``, drawn lazily in chunks."""
     rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**62, size=count)]
+    while count > 0:
+        chunk = min(count, _SEED_CHUNK)
+        yield from (int(s) for s in rng.integers(0, 2**62, size=chunk))
+        count -= chunk
 
 
 def _seeded_check(
@@ -303,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duality-roundtrip", parents=[common], help="operator -> functional -> operator residuals")
     p.add_argument("--kind", choices=sorted(_KIND_FLAGS), required=True)
-    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--dim", type=_dim, default=2)
     p.add_argument("--seeds", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_duality_roundtrip)
 
@@ -315,13 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["interval", "powerset", "effects", "projections"],
         default=None,
     )
-    p.add_argument("--dim", type=_positive_int, help="dimension / ground-set size (default 2)")
+    p.add_argument("--dim", type=_dim, help="dimension / ground-set size (default 2)")
     p.add_argument("--samples", type=_positive_int, help="sampled elements (default 200)")
     p.set_defaults(func=_cmd_laws)
 
     p = sub.add_parser("free-iso", parents=[common], help="free-construction isomorphism residuals")
     p.add_argument("--which", choices=["s", "r", "c", "chain"], required=True)
-    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--dim", type=_dim, default=2)
     p.add_argument("--seeds", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_free_iso)
 
@@ -347,6 +362,9 @@ def main(argv=None) -> int:
         report, passed = args.func(args)
     except (_InputError, LinalgError, DualityError, algebra.AlgebraError, ChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large to allocate: {exc}", file=sys.stderr)
         return 2
     try:
         _emit(report, args.pretty)

@@ -263,7 +263,7 @@ def _spot_check(f: Functional, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
     if kind == OperatorKind.DENSITY:
         v = complex(values[16])
-        if abs(v - 1.0) > tol * 10.0:
+        if not abs(v - 1.0) <= tol * 10.0:  # written so that a NaN fails
             fail("normalisation f(I) = 1", abs(v - 1.0))
     return probes, spot
 
@@ -307,7 +307,7 @@ def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> n
     return A
 
 
-def naturality_check(C: np.ndarray, A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def naturality_check(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
     """Residual of the pairing's naturality square for conjugation by C.
 
     Pairing tr(. (.)^dagger): moving C across the pairing must not change the

@@ -61,7 +61,7 @@ class WeightedPoint:
         return self.weight == 0.0
 
     def __post_init__(self):
-        if self.weight < 0:
+        if not self.weight >= 0:  # written so that a NaN weight fails
             raise ValueError("weights must be nonnegative")
         if self.weight == 0 and self.point is not None:
             raise ValueError("the zero element carries no point; use s_zero()")
@@ -74,7 +74,7 @@ def s_zero() -> WeightedPoint:
 
 
 def s_point(weight: float, point) -> WeightedPoint:
-    if weight <= 0:
+    if not weight > 0:
         raise ValueError("s_point needs a strictly positive weight")
     return WeightedPoint(float(weight), point)
 
@@ -92,7 +92,7 @@ def s_add(u: WeightedPoint, v: WeightedPoint) -> WeightedPoint:
 
 
 def s_smul(r: float, u: WeightedPoint) -> WeightedPoint:
-    if r < 0:
+    if not r >= 0:
         raise ValueError("the scalar action admits nonnegative scalars only")
     if r == 0 or u.is_zero:
         return s_zero()
@@ -207,7 +207,7 @@ def _check_sa(x, tol: float) -> None:
         if not is_hermitian(x, tol):
             raise NotHermitian("complex-pair components must be self-adjoint")
     else:
-        if isinstance(x, complex) and abs(x.imag) > tol:
+        if isinstance(x, complex) and not abs(x.imag) <= tol:
             raise NotHermitian(f"scalar component {x!r} is not real")
 
 

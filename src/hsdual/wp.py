@@ -8,12 +8,14 @@ constructors ``unitary_channel``, ``mixture_channel`` and ``super_channel``
 (and ``compose``, from two channels) make a ``Super``: they validate their
 input and compute that matrix once; every action on a density
 (``apply_channel``, the validation of the raw form, the pre-expectation
-inside ``wp``) is a product with it.  Complete positivity is deliberately
-not required -- validity is trace preservation plus positivity.  For the
-raw form, trace preservation is linear and checked exactly; positivity is
-spot-checked on 20 sampled pure states, the extreme points of the
-densities.  Every function that takes a channel raises ChannelError when
-handed anything else.
+inside ``wp``) is a product with it.  A mixture is a ``Super`` like any
+other: its exact weights are interpreted in the convex set of its parts'
+superoperators, and only the resulting matrix is kept.  Complete
+positivity is deliberately not required -- validity is trace preservation
+plus positivity.  For the raw form, trace preservation is linear and
+checked exactly; positivity is spot-checked on 20 sampled pure states, the
+extreme points of the densities.  Every function that takes a channel
+raises ChannelError when handed anything else.
 
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import FormalSum, Semiring, convex_state_carrier, formal_sum, interpret
+from .algebra import AlgebraError, Semiring, convex_state_carrier, formal_sum, interpret
 from .duality import DualityError, Functional, hs_inverse
 from .linalg import DEFAULT_TOL, as_matrix, identity, max_norm
 from .operators import OperatorKind, in_kind
@@ -69,19 +71,12 @@ class Super:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Mixture(Super):
-    """A convex mixture: its superoperator plus the exact weights it mixes."""
-
-    weights: FormalSum
-
-
-def _channel(cls, dim_in: int, dim_out: int, matrix, **fields) -> Super:
+def _channel(cls, dim_in: int, dim_out: int, matrix) -> Super:
     """A new ``cls`` holding its own read-only complex128 copy of ``matrix``."""
     M = np.array(matrix, dtype=np.complex128)
     M.setflags(write=False)
     ch = object.__new__(cls)
-    for name, value in dict(dim_in=dim_in, dim_out=dim_out, matrix=M, **fields).items():
+    for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("matrix", M)):
         object.__setattr__(ch, name, value)
     return ch
 
@@ -107,37 +102,41 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
 
 
 def _exact_weight(w) -> Fraction:
-    if isinstance(w, bool):
-        raise InvalidChannel(f"mixture weight {w!r} is not a number")
-    return Fraction(str(w)) if isinstance(w, float) else Fraction(w)
+    try:
+        if not isinstance(w, bool):
+            return Fraction(str(w)) if isinstance(w, float) else Fraction(w)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise InvalidChannel(f"mixture weight {w!r} is not a number")
 
 
-def mixture_channel(weights, parts, tol: float = DEFAULT_TOL) -> Mixture:
+def mixture_channel(weights, parts) -> Super:
     """Convex mixture of channels with exact distribution weights.
 
-    ``weights`` is a FormalSum distribution keyed 0..k-1, or a plain list of
-    values summing to exactly 1: strings parse as fractions ("1/3"), floats
+    ``weights`` is a list or tuple with exactly one weight per part, and the
+    weights sum to exactly 1: strings parse as fractions ("1/3"), floats
     through their decimal literal (0.1 is 1/10), and booleans are refused.
-    The mixture's matrix is the convex combination of its parts' matrices,
-    computed here once.
+    Any other weight list raises InvalidChannel.  The weights form an exact
+    distribution over the part indices, which the parts' matrices interpret
+    in the convex set of superoperators: the mixture is the ``Super`` whose
+    matrix is that convex combination, computed here once.
     """
     parts = tuple(_require_channel(p) for p in parts)
     if not parts:
         raise InvalidChannel("a mixture needs at least one part")
-    if not isinstance(weights, FormalSum):
-        weights = formal_sum(
+    if not isinstance(weights, (list, tuple)) or len(weights) != len(parts):
+        raise InvalidChannel(f"mixture weights must be a list of one weight per part ({len(parts)})")
+    try:
+        dist = formal_sum(
             Semiring.UNIT_INTERVAL, [(i, _exact_weight(w)) for i, w in enumerate(weights)], distribution=True
         )
-    if weights.semiring != Semiring.UNIT_INTERVAL or not weights.distribution:
-        raise InvalidChannel("mixture weights must form an exact distribution")
-    if any(not (0 <= int(k) < len(parts)) for k in weights.support()):
-        raise InvalidChannel("mixture weights refer to a missing part")
+    except (AlgebraError, ValueError) as exc:  # ValueError: a sum too long to print
+        raise InvalidChannel(f"mixture weights must form an exact distribution: {exc}") from exc
     dims = {(p.dim_in, p.dim_out) for p in parts}
     if len(dims) != 1:
         raise InvalidChannel("mixture parts must share dimensions")
-    env = {key: parts[int(key)].matrix for key in weights.support()}
-    matrix = interpret(convex_state_carrier(env), weights)
-    return _channel(Mixture, *dims.pop(), matrix, weights=weights)
+    env = {i: parts[i].matrix for i in dist.support()}
+    return _channel(Super, *dims.pop(), interpret(convex_state_carrier(env), dist))
 
 
 #: Seeded pure states on which super_channel spot-checks positivity.
@@ -251,7 +250,6 @@ def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 __all__ = [
-    "Mixture",
     "Super",
     "ChannelError",
     "InvalidChannel",

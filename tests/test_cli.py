@@ -638,3 +638,45 @@ def test_smallest_tolerance_neither_overflows_nor_exits_two(capsys):
     code, out, err = _run(capsys, argv)
     assert code in (0, 1), err
     assert json.loads(out)["pass"] is (code == 0)
+
+
+def test_mixture_file_with_more_weights_than_parts_exits_two(capsys, tmp_path, x_flip_channel):
+    flip = json.loads(Path(x_flip_channel).read_text())
+    channel = tmp_path / "mixture.json"
+    channel.write_text(json.dumps({"type": "mixture", "weights": ["1/3", "1/3", "1/3"], "parts": [flip, flip]}))
+    effect_path = _write_matrix(tmp_path / "p0.json", [[1, 0], [0, 0]])
+    code, out, err = _run(capsys, ["wp", "--channel", str(channel), "--effect", effect_path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid channel:") and "weights" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality-roundtrip", "--kind", "bounded", "--dim", str(10**9)],
+        ["free-iso", "--which", "c", "--dim", str(10**9)],
+        ["laws", "--instance", "effects", "--dim", str(10**9)],
+        # 16 n^2 fits in an index but exceeds any 57-bit address space, so
+        # the first n x n allocation fails before committing any memory
+        ["duality-roundtrip", "--kind", "bounded", "--dim", str(2 * 10**8)],
+        ["free-iso", "--which", "c", "--dim", str(2 * 10**8)],
+        ["laws", "--instance", "effects", "--dim", str(2 * 10**8)],
+    ],
+    ids=lambda argv: " ".join(argv[:-1] + ["1e9" if argv[-1] == str(10**9) else "2e8"]),
+)
+def test_dimension_too_large_to_allocate_exits_two(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "too large" in captured.err
+
+
+def test_seeds_are_drawn_lazily_in_chunks_of_the_same_sequence():
+    count = 2 * cli._SEED_CHUNK + 3
+    want = [int(s) for s in np.random.default_rng(7).integers(0, 2**62, size=count)]
+    assert list(cli._seeds_from(7, count)) == want
+    assert next(iter(cli._seeds_from(7, 10**15))) == want[0]

@@ -277,3 +277,15 @@ def test_round_trip_of_operator_hermitian_only_within_tol(kind):
             assert max_norm(A2 - (A + A.conj().T) / 2) <= tol, (dim, seed)
             checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("at_identity", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_inverse_flags_density_functional_not_finite_at_identity(at_identity):
+    # honest tr(A E) everywhere except f(I), which must be 1
+    A = np.diag([0.7, 0.3]).astype(complex)
+
+    def f(E):
+        return at_identity if np.array_equal(E, identity(2)) else trace(A @ E)
+
+    with pytest.raises(ContractViolation, match="normalisation"):
+        hs_inverse(DM, Functional(DM, 2, f))

@@ -277,3 +277,18 @@ def test_chain_densities_to_bounded():
         )
         out = c_iso_sa_b(ComplexPair(re, im))
         assert max_norm(out - target) <= 1e-10, trial
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: s_point(np.nan, mat([[1, 0], [0, 0]])), ValueError),
+        (lambda: WeightedPoint(np.nan, mat([[1, 0], [0, 0]])), ValueError),
+        (lambda: s_smul(np.nan, s_point(1.0, mat([[1, 0], [0, 0]]))), ValueError),
+        (lambda: c_iso_sa_b(ComplexPair(complex(1, np.nan), 0.0)), NotHermitian),
+    ],
+    ids=["s_point", "WeightedPoint", "s_smul", "c_iso_sa_b"],
+)
+def test_free_constructions_refuse_nan(call, error):
+    with pytest.raises(error):
+        call()

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hsdual.algebra import NotDistribution
+from hsdual.algebra import NotDistribution, Semiring, formal_sum
 from hsdual.linalg import approx_eq, identity, max_norm, trace
 from hsdual.operators import OperatorKind, sample, sample_unitary
 from hsdual.wp import (
@@ -26,7 +26,7 @@ from hsdual.wp import (
     unitary_channel,
     wp,
 )
-from hsdual.wp import Mixture, Super, _channel
+from hsdual.wp import Super, _channel
 
 from conftest import mat
 
@@ -51,7 +51,7 @@ def test_mixture_accepts_exact_and_float_weights():
     parts = [_id_channel(2), _x_channel()]
     m1 = mixture_channel([Fraction(1, 2), Fraction(1, 2)], parts)
     m2 = mixture_channel([0.5, 0.5], parts)
-    assert m1.weights == m2.weights
+    assert np.array_equal(m1.matrix, m2.matrix)
 
 
 def test_mixture_rejects_bad_weights():
@@ -61,6 +61,45 @@ def test_mixture_rejects_bad_weights():
     with pytest.raises(InvalidChannel):
         mixture_channel([], [])
 
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1], ["1/3", "1/3", "1/3"], [0.5, 0.5, 0]],
+    ids=["fewer", "more", "more with a zero"],
+)
+def test_mixture_needs_one_weight_per_part(weights):
+    with pytest.raises(InvalidChannel, match="weights"):
+        mixture_channel(weights, [_id_channel(2), _x_channel()])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        ["a", "1/2"],
+        ["1/0", 1],
+        ["nan", 1],
+        [float("nan"), 1],
+        [-0.5, 1.5],
+        [2, -1],
+        [True, False],
+        [None, 1],
+        ["1e-5000", 1],
+        formal_sum(Semiring.UNIT_INTERVAL, [(0, "1/2"), (1, "1/2")], distribution=True),
+        iter(["1/2", "1/2"]),
+    ],
+    ids=["a", "1/0", "nan text", "nan", "-0.5", "2", "bool", "None", "huge exponent", "FormalSum", "iterator"],
+)
+def test_mixture_rejects_malformed_weights_as_invalid_channel(weights):
+    with pytest.raises(InvalidChannel):
+        mixture_channel(weights, [_id_channel(2), _x_channel()])
+
+
+def test_mixture_is_a_plain_super():
+    mix = mixture_channel(("1/4", 0.75), [_id_channel(2), _x_channel()])
+    assert type(mix) is Super
+    want = 0.25 * to_super(_id_channel(2)) + 0.75 * to_super(_x_channel())
+    assert np.array_equal(mix.matrix, want)
 
 def test_mixture_rejects_dimension_clash():
     with pytest.raises(InvalidChannel):
@@ -287,8 +326,6 @@ def test_wp_rejects_non_effect_predicate():
 def test_channel_types_cannot_be_built_directly():
     with pytest.raises(TypeError):
         Super(2, 2, -np.eye(4))  # would map every density rho to -rho
-    with pytest.raises(TypeError):
-        Mixture(2, 2, np.eye(4), None)
 
 
 def test_channels_compare_and_hash_by_identity():
