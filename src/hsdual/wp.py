@@ -13,9 +13,13 @@ other: its exact weights are interpreted in the convex set of its parts'
 superoperators, and only the resulting matrix is kept.  Complete
 positivity is deliberately not required -- validity is trace preservation
 plus positivity.  For the raw form, trace preservation is linear and
-checked exactly; positivity is spot-checked on 20 sampled pure states, the
-extreme points of the densities.  Every function that takes a channel
-raises ChannelError when handed anything else.
+checked exactly; positivity is judged on 20 sampled pure states, the
+extreme points of the densities.  A completely positive map is accepted
+through one Cholesky factor of its Choi matrix, which bounds every pure
+state's image at once; only a map that is positive but not completely
+positive (such as the transpose) has its 20 images classified one by one.
+Every function that takes a channel raises ChannelError when handed
+anything else.
 
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
@@ -101,10 +105,34 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
     return _channel(Super, n, n, np.kron(U, U.conj()))
 
 
+#: Longest weight string, and largest decimal exponent in one, that a mixture
+#: parses.  The exact parse builds 10**exponent, whose cost grows faster than
+#: the exponent, so a weight beyond either bound is refused before parsing.
+MAX_WEIGHT_DIGITS = 1000
+
+
+def _decimal_exponent(text: str) -> int:
+    """The exponent after an ``e`` in a weight string; 0 if there is none or
+    it is not an integer (the parse then refuses the string anyway)."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        return int(exponent) if e else 0
+    except ValueError:
+        return 0
+
+
 def _exact_weight(w) -> Fraction:
+    text = str(w) if isinstance(w, float) else w
+    if isinstance(text, str) and (
+        len(text) > MAX_WEIGHT_DIGITS or abs(_decimal_exponent(text)) > MAX_WEIGHT_DIGITS
+    ):
+        raise InvalidChannel(
+            f"mixture weight is too long to parse exactly: over {MAX_WEIGHT_DIGITS} characters"
+            f" or a decimal exponent beyond ±{MAX_WEIGHT_DIGITS}"
+        )
     try:
         if not isinstance(w, bool):
-            return Fraction(str(w)) if isinstance(w, float) else Fraction(w)
+            return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise InvalidChannel(f"mixture weight {w!r} is not a number")
@@ -116,7 +144,9 @@ def mixture_channel(weights, parts) -> Super:
     ``weights`` is a list or tuple with exactly one weight per part, and the
     weights sum to exactly 1: strings parse as fractions ("1/3"), floats
     through their decimal literal (0.1 is 1/10), and booleans are refused.
-    Any other weight list raises InvalidChannel.  The weights form an exact
+    A string longer than MAX_WEIGHT_DIGITS (1000) characters, or with a
+    decimal exponent beyond that in magnitude, is refused unparsed.  Any
+    other weight list raises InvalidChannel.  The weights form an exact
     distribution over the part indices, which the parts' matrices interpret
     in the convex set of superoperators: the mixture is the ``Super`` whose
     matrix is that convex combination, computed here once.
@@ -142,6 +172,13 @@ def mixture_channel(weights, parts) -> Super:
 #: Seeded pure states on which super_channel spot-checks positivity.
 VALIDATION_SAMPLES = 20
 
+#: Smallest tol at which super_channel trusts its Choi certificate.  The
+#: certificate leaves each image a margin of tol/2 below zero for the rounding
+#: of the image and of the eigensolve that would otherwise judge it, which is
+#: of order 1e-16 for entries of order 1; below this floor that margin is too
+#: thin to be sure the sampled check would agree, so it decides alone.
+CHOI_TOL_FLOOR = 1e-12
+
 
 def super_channel(
     dim_in: int,
@@ -154,11 +191,19 @@ def super_channel(
 
     Trace preservation is linear, so it is checked exactly: the output
     diagonal rows of the matrix must sum to vec(I) within tol, entrywise.
-    Positivity is spot-checked on VALIDATION_SAMPLES (20) pure states drawn
-    from one generator seeded ``seed``: each image must have no eigenvalue
-    below -tol.  Pure states are the extreme points of the densities, so
-    they probe strictly more than mixed ones.  Complete positivity is not
-    demanded.
+    Positivity is judged on VALIDATION_SAMPLES (20) pure states drawn from
+    one generator seeded ``seed``: each image must be Hermitian within tol
+    and have no eigenvalue below -tol.  Pure states are the extreme points
+    of the densities, so they probe strictly more than mixed ones.
+
+    A completely positive map passes without an eigensolve: when the images
+    are finite and Hermitian within tol and the Hermitian part of the Choi
+    matrix has a Cholesky factor after a shift by tol/2, no image can have
+    an eigenvalue below -tol/2 (see ``_choi_certifies``; not used below
+    CHOI_TOL_FLOOR).  Otherwise each image is classified in turn, so a
+    positive map that is not completely positive (such as the transpose)
+    still passes, and every rejection names the first failing sample.
+    Complete positivity is not demanded.
     """
     if dim_in < 1 or dim_out < 1:
         raise InvalidChannel(f"channel dimensions must be >= 1, got {dim_in} -> {dim_out}")
@@ -178,10 +223,35 @@ def super_channel(
         if not residual <= tol:  # written so that a NaN residual fails
             raise InvalidChannel(f"trace not preserved: max residual {residual:.3e}")
         images = _act(M, v[:, :, None] * v[:, None, :].conj(), dim_out)
-    for i, out in enumerate(images):
-        if not (np.all(np.isfinite(out)) and in_kind(out, OperatorKind.POSITIVE, tol)):
-            raise InvalidChannel(f"positivity violated on sampled pure state #{i}")
+    if not _choi_certifies(M, images, dim_in, dim_out, tol):
+        for i, out in enumerate(images):
+            if not (np.all(np.isfinite(out)) and in_kind(out, OperatorKind.POSITIVE, tol)):
+                raise InvalidChannel(f"positivity violated on sampled pure state #{i}")
     return _channel(Super, dim_in, dim_out, M)
+
+
+def _choi_certifies(M: np.ndarray, images: np.ndarray, dim_in: int, dim_out: int, tol: float) -> bool:
+    """Whether the Choi matrix of M proves that ``images`` are all positive at tol.
+
+    The Choi matrix J[(c,a),(d,b)] = M[(a,b),(c,d)] gives, for the image
+    rho' of psi psi^dagger and any x, x^dagger rho' x = w^dagger J w with
+    w = conj(psi) kron x (Choi 1975).  So when the Hermitian part H of J has
+    no eigenvalue below -tol/2, neither has the Hermitian part of any image
+    of a unit vector; a Cholesky factor of H + (tol/2) I shows that without
+    an eigensolve.  The images must also be finite and Hermitian within tol,
+    as in_kind requires.  False means "not proven", never "not positive".
+    """
+    if tol < CHOI_TOL_FLOOR or not np.all(np.isfinite(images)):
+        return False
+    if max_norm(images - images.conj().swapaxes(1, 2)) > tol:
+        return False
+    n = dim_in * dim_out
+    J = M.reshape(dim_out, dim_out, dim_in, dim_in).transpose(2, 0, 3, 1).reshape(n, n)
+    try:  # halves first, so that huge finite entries cannot overflow
+        factor = np.linalg.cholesky(J / 2 + J.conj().T / 2 + (tol / 2) * identity(n))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(factor)))
 
 
 def to_super(ch: Super) -> np.ndarray:
@@ -196,14 +266,17 @@ def _act(S: np.ndarray, rho: np.ndarray, dim_out: int) -> np.ndarray:
 
 
 def apply_channel(ch: Super, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Apply the channel to a density operator (NotDensity otherwise)."""
+    """Apply the channel to a density operator (NotDensity otherwise).
+
+    The image is a new array of its own, not a view of a larger one.
+    """
     _require_channel(ch)
     rho = as_matrix(rho)
     if rho.shape[0] != ch.dim_in:
         raise NotDensity(f"density dim {rho.shape[0]} != channel input dim {ch.dim_in}")
     if not in_kind(rho, OperatorKind.DENSITY, tol):
         raise NotDensity("channel input does not classify as a density operator")
-    return _act(ch.matrix, rho, ch.dim_out)
+    return _act(ch.matrix, rho, ch.dim_out).copy()  # a view would keep the matmul result alive
 
 
 def compose(g: Super, f: Super) -> Super:

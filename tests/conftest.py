@@ -8,6 +8,15 @@ def mat(rows):
     return np.array(rows, dtype=np.complex128)
 
 
+def transpose_super(n):
+    """The superoperator of rho |-> rho^T on row-major vectorized n x n matrices.
+
+    The transpose is positive and trace-preserving but, for n >= 2, not
+    completely positive: its Choi matrix is the swap, with eigenvalue -1.
+    """
+    return np.eye(n * n, dtype=np.complex128)[[b * n + a for a in range(n) for b in range(n)]]
+
+
 @pytest.fixture
 def pauli():
     return {

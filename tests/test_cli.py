@@ -446,6 +446,20 @@ def test_dephasing_example_fixes_p0(capsys, monkeypatch):
     assert np.abs(W - np.diag([1, 0])).max() <= 1e-9
 
 
+def test_transpose_example_fixes_p0(capsys, monkeypatch):
+    # tr(rho^T A) = tr(rho A^T), so wp(transpose, |0><0|) is |0><0| again;
+    # the transpose is not completely positive, so its file is validated on
+    # the sampled pure states
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    argv = ["wp", "--channel", "examples/transpose.json", "--effect", "examples/p0.json", "--check-duality", "20"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is True
+    W = np.array([complex(*z) for z in report["wp"]["data"]]).reshape(2, 2)
+    assert np.abs(W - np.diag([1, 0])).max() <= 1e-9
+
+
 def _super_doc(dim_in, dim_out, rows, cols, data):
     matrix = {"rows": rows, "cols": cols, "data": data}
     return {"type": "super", "dim_in": dim_in, "dim_out": dim_out, "matrix": matrix}

@@ -24,6 +24,8 @@ from hsdual.linalg import DimensionMismatch, identity, max_norm, trace
 from hsdual.operators import OperatorKind, sample
 from hsdual.wp import mixture_channel, super_channel, to_super, unitary_channel, wp
 
+from conftest import transpose_super
+
 B = OperatorKind.BOUNDED
 SA = OperatorKind.SELF_ADJOINT
 POS = OperatorKind.POSITIVE
@@ -191,7 +193,7 @@ def _kind_checks():
         "in_kind": lambda: [operators.in_kind(A, k) for k in (POS, EF, DM)],
         "loewner_leq": lambda: operators.loewner_leq(sample(EF, 3, 3), identity(3)),
         "sample(EFFECT)": lambda: sample(EF, 3, 4),
-        "super_channel": lambda: super_channel(3, 3, to_super(ch)),
+        "super_channel": lambda: super_channel(3, 3, transpose_super(3) @ to_super(ch)),
         "wp": lambda: wp(ch, sample(EF, 3, 5)),
         "round trips": lambda: [hs_inverse(k, hs_forward(k, sample(k, 3, 6))) for k in DUAL_KINDS],
     }

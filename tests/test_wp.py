@@ -5,15 +5,20 @@ oracle and compared against the generic reconstruction; the library itself
 never takes that shortcut.
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hsdual import operators
 from hsdual.algebra import NotDistribution, Semiring, formal_sum
-from hsdual.linalg import approx_eq, identity, max_norm, trace
-from hsdual.operators import OperatorKind, sample, sample_unitary
+from hsdual.linalg import approx_eq, identity, max_norm, outer_unit, trace
+from hsdual.operators import OperatorKind, in_kind, sample, sample_unitary
 from hsdual.wp import (
+    CHOI_TOL_FLOOR,
+    VALIDATION_SAMPLES,
     ChannelError,
     InvalidChannel,
     NotDensity,
@@ -26,9 +31,9 @@ from hsdual.wp import (
     unitary_channel,
     wp,
 )
-from hsdual.wp import Super, _channel
+from hsdual.wp import Super, _act, _channel, _choi_certifies
 
-from conftest import mat
+from conftest import mat, transpose_super
 
 
 def _x_channel():
@@ -400,3 +405,191 @@ def test_super_channel_rejects_a_non_finite_image():
             assert not np.isfinite(M @ sample(OperatorKind.DENSITY, 2, seed).reshape(-1)).all()
     with pytest.raises(InvalidChannel, match="positivity"):
         super_channel(2, 2, M)
+
+
+# --- super_channel: the Choi certificate and the sampled fallback -------------------
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """One entry per hermitian_eig call made by a kind check."""
+    calls = []
+    real = operators.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "hermitian_eig", counted)
+    return calls
+
+
+def _kraus_channel(dim_in, dim_out, rank, seed):
+    """The superoperator of rho |-> sum_k K_k rho K_k^dagger, the rank Kraus
+    operators cut from one random isometry, so that sum_k K_k^dagger K_k = I."""
+    rng = np.random.default_rng(seed)
+    shape = (rank * dim_out, dim_in)
+    Q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    return sum(np.kron(K, K.conj()) for K in Q.reshape(rank, dim_out, dim_in))
+
+
+def _choi_min(M, n):
+    """Smallest eigenvalue of the Choi matrix sum_cd |c><d| kron f(|c><d|) of
+    an n x n map, built from its definition."""
+    J = sum(
+        np.kron(outer_unit(c, d, n), (M @ outer_unit(c, d, n).reshape(-1)).reshape(n, n))
+        for c in range(n)
+        for d in range(n)
+    )
+    return np.linalg.eigvalsh(J)[0]
+
+
+def _straddling_map(n, seed, theta, tol):
+    """A trace-preserving map whose Choi matrix has smallest eigenvalue
+    -theta * tol (from above, within 1e-15): a channel of full Kraus rank
+    mixed with the transpose after a unitary.  The smallest Choi eigenvalue
+    is concave in the mixing weight, positive at 0 and -1 at 1, so bisection
+    finds the weight."""
+    channel = _kraus_channel(n, n, n * n, seed)
+    U = sample_unitary(n, seed)
+    transpose = transpose_super(n) @ np.kron(U, U.conj())
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _choi_min((1 - mid) * channel + mid * transpose, n) >= -theta * tol:
+            lo = mid
+        else:
+            hi = mid
+    return (1 - lo) * channel + lo * transpose
+
+
+def _per_image_verdict(M, dim_in, dim_out, tol, seed=0):
+    """The InvalidChannel message super_channel owes M, or None, found without
+    any certificate: the trace check, then in_kind on the image of each of the
+    VALIDATION_SAMPLES seeded pure states in turn."""
+    residual = max_norm(identity(dim_out).reshape(-1) @ M - identity(dim_in).reshape(-1))
+    if not residual <= tol:
+        return f"trace not preserved: max residual {residual:.3e}"
+    rng = np.random.default_rng(seed)
+    shape = (VALIDATION_SAMPLES, dim_in)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    images = _act(M, v[:, :, None] * v[:, None, :].conj(), dim_out)
+    for i, out in enumerate(images):
+        if not in_kind(out, OperatorKind.POSITIVE, tol):
+            return f"positivity violated on sampled pure state #{i}"
+    return None
+
+
+def _verdict(M, dim_in, dim_out, tol):
+    try:
+        super_channel(dim_in, dim_out, M, tol)
+    except InvalidChannel as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transpose_is_accepted_through_the_sampled_states(eigensolves, n):
+    # positive but, for n >= 2, not completely positive: the certificate
+    # fails and each sampled image is classified
+    ch = super_channel(n, n, transpose_super(n))
+    assert len(eigensolves) == (VALIDATION_SAMPLES if n >= 2 else 0)
+    rho = sample(OperatorKind.DENSITY, n, 3)
+    assert np.array_equal(apply_channel(ch, rho), rho.T)
+
+
+def _completely_positive_channels(n):
+    U, V = unitary_channel(sample_unitary(n, 11)), unitary_channel(sample_unitary(n, 12))
+    mix = mixture_channel(["1/3", "2/3"], [U, V])
+    return {"unitary": U, "mixture": mix, "composed": compose(V, mix)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["unitary", "mixture", "composed"])
+def test_completely_positive_channels_need_no_eigensolve(eigensolves, name, n):
+    M = to_super(_completely_positive_channels(n)[name])
+    eigensolves.clear()
+    assert np.array_equal(super_channel(n, n, M).matrix, M)
+    assert eigensolves == []
+
+
+@pytest.mark.parametrize("theta, solves", [(0.45, 0), (0.55, VALIDATION_SAMPLES)])
+def test_choi_certificate_holds_down_to_minus_half_tol(eigensolves, theta, solves):
+    M = _straddling_map(3, 5, theta, 1e-9)
+    eigensolves.clear()
+    super_channel(3, 3, M, 1e-9)
+    assert len(eigensolves) == solves
+
+
+@pytest.mark.parametrize("tol, solves", [(CHOI_TOL_FLOOR, 0), (CHOI_TOL_FLOOR / 2, VALIDATION_SAMPLES)])
+def test_choi_certificate_is_not_used_below_its_floor(eigensolves, tol, solves):
+    super_channel(2, 2, np.eye(4), tol)
+    assert len(eigensolves) == solves
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**16), theta=st.floats(0.4, 1.1))
+def test_choi_certificate_agrees_with_per_image_check_near_minus_tol(n, seed, theta):
+    M = _straddling_map(n, seed, theta, 1e-9)
+    assert _verdict(M, n, n, 1e-9) == _per_image_verdict(M, n, n, 1e-9)
+
+
+@st.composite
+def _rank_deficient_channel(draw):
+    dim_in, dim_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    least = -(-dim_in // dim_out)  # an isometry needs rank * dim_out >= dim_in
+    rank = draw(st.integers(least, max(least, dim_in * dim_out - 1)))
+    return dim_in, dim_out, _kraus_channel(dim_in, dim_out, rank, draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=_rank_deficient_channel(), tol=st.sampled_from([1e-15, 1e-16]))
+def test_rank_deficient_channels_agree_with_per_image_check_at_tiny_tol(case, tol):
+    dim_in, dim_out, M = case
+    assert _verdict(M, dim_in, dim_out, tol) == _per_image_verdict(M, dim_in, dim_out, tol)
+
+
+def test_choi_certificate_needs_hermitian_images():
+    # rho |-> rho + 1e-6 i tr(rho) Z preserves the trace, and the Hermitian
+    # part of its Choi matrix is the identity channel's, which is positive;
+    # but no image is Hermitian, so the first sample is rejected
+    Z = np.diag([1.0, -1.0])
+    M = np.eye(4) + 1e-6j * np.outer(Z.reshape(-1), identity(2).reshape(-1))
+    assert _verdict(M, 2, 2, 1e-9) == _per_image_verdict(M, 2, 2, 1e-9)
+    with pytest.raises(InvalidChannel, match="#0$"):
+        super_channel(2, 2, M)
+
+
+@pytest.mark.filterwarnings("error")
+def test_choi_certificate_declines_huge_entries_without_warning():
+    # J + J^dagger would overflow here; the Hermitian part is formed from halves
+    images = np.broadcast_to(identity(2) / 2, (VALIDATION_SAMPLES, 2, 2))
+    assert not _choi_certifies(np.full((4, 4), 1e308, dtype=complex), images, 2, 2, 1e-9)
+
+
+def test_apply_channel_returns_an_array_of_its_own():
+    out = apply_channel(_x_channel(), sample(OperatorKind.DENSITY, 2, 0))
+    assert out.base is None and out.flags.writeable
+
+
+# --- mixture weights: refused before an expensive exact parse -----------------------
+
+
+@pytest.mark.parametrize(
+    "weight",
+    ["1e-999999999", "1E+999999999", "1e-1_000_000", "0." + "0" * 10**7 + "1"],
+    ids=["exponent", "exponent upper case", "exponent with underscores", "long string"],
+)
+def test_mixture_refuses_a_huge_weight_in_constant_time(weight):
+    start = time.perf_counter()
+    with pytest.raises(InvalidChannel, match="too long"):
+        mixture_channel([weight, "1"], [_id_channel(2), _x_channel()])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mixture_parses_a_weight_exponent_up_to_the_limit():
+    mix = mixture_channel(["1e0", "0e1000"], [_id_channel(2), _x_channel()])
+    assert np.array_equal(mix.matrix, to_super(_id_channel(2)))
+    with pytest.raises(InvalidChannel, match="too long"):
+        mixture_channel(["1e0", "0e1001"], [_id_channel(2), _x_channel()])
