@@ -5,7 +5,9 @@ zero, and for every x a unique orthosupplement x' with x + x' = 1; the only
 element summable with 1 is 0.  Some instances additionally carry a [0, 1]
 scalar action (effect modules).  Instances are packaged as plain records of
 closures over their carrier, with partiality encoded as an optional return:
-``ovee`` yields None exactly when the sum is undefined.
+``ovee`` yields None exactly when the sum is undefined.  A matrix instance may
+also carry its operations on stacks of elements (``StackedOps``), which the
+law checker then uses to test many cases per call.
 
 Four stock instances are provided -- the rational unit interval, finite
 powersets under disjoint union, the effect operators of a finite-dimensional
@@ -22,8 +24,27 @@ from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, approx_eq, identity, max_norm, zeros
+from .duality import _STACK_ENTRIES
+from .linalg import DEFAULT_TOL, approx_eq, identity, zeros
 from .operators import OperatorKind, loewner_leq, sample, sample_unitary
+
+
+@dataclass(frozen=True)
+class StackedOps:
+    """``ovee``, ``eq`` and ``orth`` of a matrix carrier on (b, n, n) stacks.
+
+    ``ovee(X, Y)`` returns the b sums X[i] (+) Y[i] and a (b,) boolean mask
+    of which of them are defined; a sum the mask marks undefined may hold
+    any value, and may be passed to the operations again.  ``eq(X, Y)``
+    returns the (b,) mask of X[i] == Y[i], and ``orth(X)`` the b
+    orthosupplements.  Case by case they must agree with the instance's
+    per-element ``ovee``, ``eq`` and ``orth``, and like them be pure; they
+    must not write to their arguments, which may be read-only views.
+    """
+
+    ovee: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    eq: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    orth: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -39,6 +60,14 @@ class EffectInstance:
     ``ovee``, ``orth`` and ``eq`` must be pure: the same arguments always
     give the same result, with no side effects.  ``law_suite`` relies on
     this when it computes each pair sum once and reuses it across laws.
+
+    ``stacked``, if given, holds the same three operations on stacks of
+    matrix elements (see ``StackedOps``), and a sampled ``law_suite`` then
+    checks the effect-algebra laws with them, a stack of cases per call.
+    Whoever replaces ``ovee``, ``eq`` or ``orth`` on an instance that has
+    ``stacked`` (say with ``dataclasses.replace``) must replace ``stacked``
+    too, or set it to None; otherwise the sampled laws never call the new
+    operation.
     """
 
     name: str
@@ -51,6 +80,7 @@ class EffectInstance:
     sampler: Optional[Callable[[int], Any]] = None
     universe: Optional[tuple] = None
     describe: Callable[[Any], str] = field(default=repr, compare=False)
+    stacked: Optional[StackedOps] = None
 
 
 # --- stock instances --------------------------------------------------------
@@ -137,7 +167,10 @@ def make_effects(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
 
     The sum A + B is defined when it stays below the identity in the Loewner
     order; the orthosupplement is I - A; scalars act by plain multiplication.
+    ``dim`` must be at least 1 (ValueError otherwise).
     """
+    if dim < 1:
+        raise ValueError("effect-operator instances need dim >= 1")
     one = identity(dim)
 
     def ovee(A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
@@ -169,16 +202,33 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     """Orthogonal projections; P + Q is defined when the ranges are orthogonal.
 
     Orthogonality is the operational test max|P Q| <= tol.  There is no
-    scalar action: a scaled projection is no longer a projection.
+    scalar action: a scaled projection is no longer a projection.  ``dim``
+    must be at least 1 (ValueError otherwise).
+
+    Each operation is written once, on stacks, as the instance's
+    ``stacked``; the per-element ``ovee``, ``eq`` and ``orth`` apply it to
+    one-element stacks, so both compute the same values.
     """
+    if dim < 1:
+        raise ValueError("projection instances need dim >= 1")
     one = identity(dim)
     # Half the samples project onto subsets of a fixed orthonormal basis, so
     # that orthogonal (summable) pairs occur with useful frequency; the rest
     # come from fresh random bases.
     shared_basis = sample_unitary(dim, seed=0xB415 + dim)
 
+    def max_norms(X: np.ndarray) -> np.ndarray:
+        return np.abs(X).max(axis=(1, 2))
+
+    stacked = StackedOps(
+        ovee=lambda P, Q: (P + Q, max_norms(P @ Q) <= tol),
+        eq=lambda P, Q: max_norms(P - Q) <= tol,
+        orth=lambda P: one - P,
+    )
+
     def ovee(P: np.ndarray, Q: np.ndarray) -> Optional[np.ndarray]:
-        return P + Q if max_norm(P @ Q) <= tol else None
+        S, defined = stacked.ovee(np.asarray(P)[None], np.asarray(Q)[None])
+        return S[0] if defined[0] else None
 
     def sampler(seed: int) -> np.ndarray:
         if seed % 2 == 0:
@@ -196,10 +246,11 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
         zero=zeros(dim),
         one=one,
         ovee=ovee,
-        orth=lambda P: one - P,
-        eq=lambda P, Q: approx_eq(P, Q, tol),
+        orth=lambda P: stacked.orth(np.asarray(P)[None])[0],
+        eq=lambda P, Q: bool(stacked.eq(np.asarray(P)[None], np.asarray(Q)[None])[0]),
         sampler=sampler,
         describe=lambda P: np.array2string(np.asarray(P), precision=4, suppress_small=True),
+        stacked=stacked,
     )
 
 
@@ -284,6 +335,110 @@ def _scalar_pool(rng: np.random.Generator, count: int) -> list[Fraction]:
     return [grid[int(rng.integers(0, len(grid)))] for _ in range(count)]
 
 
+def _stacked_cases(
+    inst: EffectInstance,
+    pool: list,
+    pairs: list,
+    triples: list,
+    complement: Callable,
+    unique_case: Callable,
+) -> tuple[Iterable, ...]:
+    """For each of ``law_suite``'s six effect-algebra laws, in its order, the
+    (position, check arguments) of the cases whose check fails.
+
+    Each law is tested with ``inst.stacked`` on stacks of its cases, a chunk
+    of at most _STACK_ENTRIES matrix entries per operand at a time; a case
+    is flagged when its per-element check would fail.  Only flagged cases
+    are yielded, in case order, with the arguments the per-element check
+    takes, so that ``law_suite`` words the counterexample the same way on
+    both paths.
+    """
+    ops = inst.stacked
+    stack = np.stack(pool)
+    stack.setflags(write=False)
+    size = max(1, _STACK_ENTRIES // stack[0].size)
+
+    def flagged(*segments):
+        # segment: (rows, test, case).  rows is an (m, k) array of pool
+        # indices; test maps a chunk's k operand stacks to the mask of rows
+        # whose check fails; case(*row) gives that check's arguments.
+        offset = 0
+        for rows, test, case in segments:
+            for lo in range(0, len(rows), size):
+                chunk = rows[lo : lo + size]
+                for at in np.flatnonzero(test(*stack[chunk.T])):
+                    yield offset + lo + int(at) + 1, case(*map(int, chunk[at]))
+            offset += len(rows)
+
+    def zero(X):
+        return np.broadcast_to(inst.zero, X.shape)
+
+    def one(X):
+        return np.broadcast_to(inst.one, X.shape)
+
+    def zero_unit(X):
+        S, defined = ops.ovee(zero(X), X)
+        return ~defined | ~ops.eq(S, X)
+
+    def commutativity(X, Y):
+        S1, d1 = ops.ovee(X, Y)
+        S2, d2 = ops.ovee(Y, X)
+        return (d1 != d2) | (d1 & ~ops.eq(S1, S2))
+
+    def associativity(X, Y, Z):
+        YZ, d_yz = ops.ovee(Y, Z)
+        X_YZ, d_x_yz = ops.ovee(X, YZ)
+        XY, d_xy = ops.ovee(X, Y)
+        XY_Z, d_xy_z = ops.ovee(XY, Z)
+        return d_yz & d_x_yz & ~(d_xy & d_xy_z & ops.eq(X_YZ, XY_Z))
+
+    def orth_exists(X):
+        S, defined = ops.ovee(X, ops.orth(X))
+        return ~defined | ~ops.eq(S, one(X))
+
+    def orth_unique(X, Y):
+        S, defined = ops.ovee(X, Y)
+        return defined & ops.eq(S, one(X)) & ~ops.eq(Y, ops.orth(X))
+
+    def one_maximal(X):
+        _, defined = ops.ovee(X, one(X))
+        return defined & ~ops.eq(X, zero(X))
+
+    def element(i):
+        return (pool[i],)
+
+    singles = np.arange(len(pool))[:, None]
+    pair_rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    triple_rows = np.array(triples, dtype=np.intp).reshape(-1, 3)
+    return (
+        flagged((singles, zero_unit, element)),
+        flagged((pair_rows, commutativity, lambda i, j: (i, j))),
+        flagged((triple_rows, associativity, lambda i, j, k: (i, j, k))),
+        flagged((singles, orth_exists, complement)),
+        flagged(
+            (pair_rows, orth_unique, unique_case),
+            (singles, lambda X: orth_unique(X, ops.orth(X)), complement),
+        ),
+        flagged((singles, one_maximal, element)),
+    )
+
+
+def _confirming(inst: EffectInstance, law: str, check: Callable) -> Callable:
+    """``check``, raising ValueError where it passes a case that
+    ``inst.stacked`` flagged: the two sets of operations then disagree."""
+
+    def confirmed(*case):
+        msg = check(*case)
+        if msg is None:
+            raise ValueError(
+                f"{inst.name}: the stacked operations fail a {law} case"
+                " that ovee, eq and orth pass"
+            )
+        return msg
+
+    return confirmed
+
+
 def law_suite(
     inst: EffectInstance,
     samples: int = 500,
@@ -308,6 +463,16 @@ def law_suite(
     (x, y, z) with y (+) z defined; ``checked`` still counts all of them
     (n³, or the number of sampled triples), or gives the 1-based x-major
     position of the first failing triple.
+
+    A sampled pool of an instance with ``stacked`` is stacked once instead,
+    and each of the six effect-algebra laws tests all its cases with
+    ``stacked``, a chunk of at most 2^16 matrix entries per operand at a
+    time, so the memory beyond the pool stays bounded for any ``samples``.
+    The per-element operations then run only on the first failing case, to
+    word its counterexample; the report equals the per-element one (same
+    draws, counts, positions and text), and ValueError is raised if the
+    per-element check passes a case that ``stacked`` failed.  The scalar
+    laws always run per element.
     """
     pool, exhaustive = _element_pool(inst, samples, seed)
     rng = np.random.default_rng(seed)
@@ -317,11 +482,11 @@ def law_suite(
     if exhaustive:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
-        def pick():
-            return int(rng.integers(0, n))
-
-        pairs = [(pick(), pick()) for _ in range(samples)]
-        triples = [(pick(), pick(), pick()) for _ in range(samples)]
+        # one call draws what 5 * samples calls rng.integers(0, n) would, in
+        # the same order: two per pair, then three per triple
+        draws = rng.integers(0, n, size=5 * samples)
+        pairs = list(map(tuple, draws[: 2 * samples].reshape(-1, 2).tolist()))
+        triples = list(map(tuple, draws[2 * samples :].reshape(-1, 3).tolist()))
 
     sums: dict = {}
 
@@ -404,32 +569,51 @@ def law_suite(
             return f"x (+) 1 defined for x != 0: x = {d(x)}"
         return None
 
-    if exhaustive:
-        # x-major over the (y, z) pairs with y (+) z defined; triple
-        # (i, j, k) sits at position i n² + j n + k + 1
-        defined = [(j, k) for j, k in pairs if pair_sum(j, k) is not None]
-        assoc_total = n**3
-        assoc_cases = (
-            (i * n * n + j * n + k + 1, (i, j, k)) for i in range(n) for j, k in defined
-        )
-    else:
-        assoc_total = len(triples)
-        assoc_cases = enumerate(triples, 1)
-
-    run("zero-unit", [(x,) for x in pool], chk_zero)
-    run("commutativity", pairs, chk_comm)
-    record("associativity", assoc_total, assoc_cases, chk_assoc)
     # x (+) orth(x), once per pool element: the existence law reads it, and
     # the uniqueness law runs on these complement pairs too, so that it is
     # exercised even when random pairs rarely sum to 1
-    complements = []
-    for x in pool:
+    def complement(i: int) -> tuple:
+        x = pool[i]
         xo = inst.orth(x)
-        complements.append((x, xo, inst.ovee(x, xo)))
-    run("orthosupplement-exists", complements, chk_orth_exists)
-    unique_cases = [(pool[i], pool[j], pair_sum(i, j)) for i, j in pairs]
-    run("orthosupplement-unique", unique_cases + complements, chk_orth_unique)
-    run("one-maximal", [(x,) for x in pool], chk_one_maximal)
+        return x, xo, inst.ovee(x, xo)
+
+    def unique_case(i: int, j: int) -> tuple:
+        return pool[i], pool[j], pair_sum(i, j)
+
+    laws = (
+        ("zero-unit", n, chk_zero),
+        ("commutativity", len(pairs), chk_comm),
+        ("associativity", n**3 if exhaustive else len(triples), chk_assoc),
+        ("orthosupplement-exists", n, chk_orth_exists),
+        ("orthosupplement-unique", len(pairs) + n, chk_orth_unique),
+        ("one-maximal", n, chk_one_maximal),
+    )
+    if exhaustive or inst.stacked is None:
+        if exhaustive:
+            # x-major over the (y, z) pairs with y (+) z defined; triple
+            # (i, j, k) sits at position i n² + j n + k + 1
+            defined = [(j, k) for j, k in pairs if pair_sum(j, k) is not None]
+            assoc_cases = (
+                (i * n * n + j * n + k + 1, (i, j, k)) for i in range(n) for j, k in defined
+            )
+        else:
+            assoc_cases = enumerate(triples, 1)
+        singles = [(x,) for x in pool]
+        complements = [complement(i) for i in range(n)]
+        unique_cases = [unique_case(i, j) for i, j in pairs] + complements
+        cases = (
+            enumerate(singles, 1),
+            enumerate(pairs, 1),
+            assoc_cases,
+            enumerate(complements, 1),
+            enumerate(unique_cases, 1),
+            enumerate(singles, 1),
+        )
+    else:
+        cases = _stacked_cases(inst, pool, pairs, triples, complement, unique_case)
+        laws = tuple((law, total, _confirming(inst, law, check)) for law, total, check in laws)
+    for (law, total, check), law_cases in zip(laws, cases):
+        record(law, total, law_cases, check)
 
     if inst.scalar_mul is not None:
         smul = inst.scalar_mul
@@ -488,6 +672,7 @@ def law_suite(
 
 __all__ = [
     "EffectInstance",
+    "StackedOps",
     "LawEntry",
     "LawReport",
     "make_unit_interval",

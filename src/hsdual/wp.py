@@ -33,6 +33,7 @@ and is used in the test suite as an oracle, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -122,7 +123,7 @@ def _decimal_exponent(text: str) -> int:
 
 
 def _exact_weight(w) -> Fraction:
-    text = str(w) if isinstance(w, float) else w
+    text = str(w) if isinstance(w, (float, Decimal)) else w
     if isinstance(text, str) and (
         len(text) > MAX_WEIGHT_DIGITS or abs(_decimal_exponent(text)) > MAX_WEIGHT_DIGITS
     ):
@@ -143,13 +144,14 @@ def mixture_channel(weights, parts) -> Super:
 
     ``weights`` is a list or tuple with exactly one weight per part, and the
     weights sum to exactly 1: strings parse as fractions ("1/3"), floats
-    through their decimal literal (0.1 is 1/10), and booleans are refused.
-    A string longer than MAX_WEIGHT_DIGITS (1000) characters, or with a
-    decimal exponent beyond that in magnitude, is refused unparsed.  Any
-    other weight list raises InvalidChannel.  The weights form an exact
-    distribution over the part indices, which the parts' matrices interpret
-    in the convex set of superoperators: the mixture is the ``Super`` whose
-    matrix is that convex combination, computed here once.
+    and Decimals through their decimal literal (0.1 is 1/10), and booleans
+    are refused.  A literal longer than MAX_WEIGHT_DIGITS (1000) characters,
+    or with a decimal exponent beyond that in magnitude, is refused
+    unparsed.  Any other weight list raises InvalidChannel.  The weights
+    form an exact distribution over the part indices, which the parts'
+    matrices interpret in the convex set of superoperators: the mixture is
+    the ``Super`` whose matrix is that convex combination, computed here
+    once.
     """
     parts = tuple(_require_channel(p) for p in parts)
     if not parts:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsdual import effect
 from hsdual.effect import (
     EffectInstance,
+    StackedOps,
     checks_exhaustively,
     law_suite,
     make_effects,
@@ -154,6 +156,13 @@ def test_projections_have_no_scalar_action():
 def test_projections_law_suite_dim3():
     report = law_suite(make_projections(3), samples=200, seed=1)
     assert report.all_pass, report.to_json()
+
+
+@pytest.mark.parametrize("make", [make_effects, make_projections])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_operator_instances_refuse_dimensions_below_one(make, dim):
+    with pytest.raises(ValueError, match="dim >= 1"):
+        make(dim)
 
 
 @pytest.mark.parametrize("make, samples", [(make_effects, 0), (make_projections, -3)])
@@ -439,3 +448,123 @@ def test_pointwise_scalar_action_on_affine_maps():
     f = hs_forward(OperatorKind.EFFECT, E)
     scaled = Functional(OperatorKind.EFFECT, dim, lambda rho: 0.25 * f(rho))
     assert approx_eq(hs_inverse(OperatorKind.EFFECT, scaled), 0.25 * E, 1e-8)
+
+
+# --- the stacked path ----------------------------------------------------------------
+#
+# A sampled law_suite on an instance with ``stacked`` checks the effect-algebra
+# laws a stack of cases at a time.  Its report must equal the per-element one
+# that the same instance gives without ``stacked``: same draws, counts,
+# positions and counterexample text.
+
+_TOLS = [1e-9, 1e-15, 1e-300, 1e300]
+
+
+def _assert_stacked_matches_per_element(inst, samples, seed, tol=1e-9):
+    assert inst.stacked is not None
+    report = law_suite(inst, samples=samples, seed=seed, tol=tol)
+    per_element = law_suite(replace(inst, stacked=None), samples=samples, seed=seed, tol=tol)
+    assert report.to_json() == per_element.to_json()
+    return report
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    dim=st.integers(1, 4),
+    tol=st.sampled_from(_TOLS),
+    samples=st.sampled_from([1, 3, 50]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_stacked_projection_laws_match_per_element(dim, tol, samples, seed):
+    _assert_stacked_matches_per_element(make_projections(dim, tol), samples, seed, tol)
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_stacked_projection_laws_match_per_element_across_chunks(monkeypatch, dim, tol):
+    # three cases per chunk, so that every law spans many chunks
+    monkeypatch.setattr(effect, "_STACK_ENTRIES", 3 * dim * dim)
+    _assert_stacked_matches_per_element(make_projections(dim, tol), 50, seed=dim, tol=tol)
+
+
+def test_stacked_projection_laws_match_per_element_at_full_chunks():
+    # 4,096 cases of a 4 x 4 carrier fill one chunk; 4,100 pairs span two
+    assert effect._STACK_ENTRIES // 16 < 4100
+    report = _assert_stacked_matches_per_element(make_projections(4), 4100, seed=7)
+    assert report.all_pass and report.entry("commutativity").checked == 4100
+
+
+def _per_element(ops: StackedOps) -> dict:
+    """ovee, eq and orth that apply ``ops`` to one-element stacks."""
+
+    def ovee(x, y):
+        S, defined = ops.ovee(x[None], y[None])
+        return S[0] if defined[0] else None
+
+    return {
+        "ovee": ovee,
+        "eq": lambda x, y: bool(ops.eq(x[None], y[None])[0]),
+        "orth": lambda x: ops.orth(x[None])[0],
+    }
+
+
+def _planted_projections(bug: str) -> EffectInstance:
+    """make_projections(2) with a bug written once, on stacks."""
+    good = make_projections(2)
+    base = good.stacked
+
+    def ovee(X, Y):
+        S, defined = base.ovee(X, Y)
+        if bug == "asymmetric-definedness":
+            defined = defined & ~(X[:, 0, 0].real > Y[:, 1, 1].real + 0.2)
+        if bug == "skewed-sum":
+            S = S + 1e-3 * (Y[:, 0, 0].real > 0.5)[:, None, None] * identity(2)
+        return S, defined
+
+    def eq(X, Y):
+        same = base.eq(X, Y)
+        if bug == "irreflexive-eq":
+            # unequal whenever both have a large off-diagonal entry, so that
+            # the uniqueness law also fails on a complement case
+            same = same & ~((np.abs(X[:, 0, 1]) > 0.3) & (np.abs(Y[:, 0, 1]) > 0.3))
+        return same
+
+    def orth(X):
+        return base.orth(X) / 2 if bug == "wrong-orth" else base.orth(X)
+
+    ops = StackedOps(ovee=ovee, eq=eq, orth=orth)
+    return replace(good, name=f"planted-{bug}", stacked=ops, **_per_element(ops))
+
+
+@pytest.mark.parametrize("chunk_cases", [None, 7])
+@pytest.mark.parametrize("seed", [2, 11])
+@pytest.mark.parametrize(
+    "bug", ["none", "asymmetric-definedness", "skewed-sum", "wrong-orth", "irreflexive-eq"]
+)
+def test_stacked_laws_report_planted_bugs_like_per_element(monkeypatch, bug, seed, chunk_cases):
+    if chunk_cases is not None:
+        monkeypatch.setattr(effect, "_STACK_ENTRIES", chunk_cases * 4)
+    inst = _planted_projections(bug)
+    report = _assert_stacked_matches_per_element(inst, samples=40, seed=seed)
+    assert [(e.law, e.passed, e.checked, e.counterexample) for e in report.entries] == (
+        _reference_entries(inst, 40, seed)
+    )
+    assert report.all_pass == (bug == "none")
+
+
+def test_replacing_ovee_needs_stacked_replaced_too():
+    def never(P, Q):
+        return None
+
+    # without stacked, the sampled laws call the planted ovee and catch it
+    caught = law_suite(replace(make_projections(2), ovee=never, stacked=None), samples=20)
+    assert not caught.entry("zero-unit").passed
+    # with stale stacked operations they never call it: the documented rule
+    assert law_suite(replace(make_projections(2), ovee=never), samples=20).all_pass
+
+
+def test_stacked_operations_that_disagree_are_refused():
+    good = make_projections(2)
+    never_equal = replace(good.stacked, eq=lambda X, Y: np.zeros(len(X), dtype=bool))
+    with pytest.raises(ValueError, match="zero-unit case"):
+        law_suite(replace(good, stacked=never_equal), samples=5)

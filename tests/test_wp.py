@@ -6,6 +6,7 @@ never takes that shortcut.
 """
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -593,3 +594,17 @@ def test_mixture_parses_a_weight_exponent_up_to_the_limit():
     assert np.array_equal(mix.matrix, to_super(_id_channel(2)))
     with pytest.raises(InvalidChannel, match="too long"):
         mixture_channel(["1e0", "0e1001"], [_id_channel(2), _x_channel()])
+
+
+def test_mixture_refuses_a_huge_decimal_weight_in_constant_time():
+    # Fraction(Decimal) would build 10**999999999 exactly
+    start = time.perf_counter()
+    with pytest.raises(InvalidChannel, match="too long"):
+        mixture_channel([Decimal("1e-999999999"), 1], [_id_channel(2), _x_channel()])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mixture_accepts_decimal_weights():
+    mix = mixture_channel([Decimal("0.25"), Decimal("0.75")], [_id_channel(2), _x_channel()])
+    want = 0.25 * to_super(_id_channel(2)) + 0.75 * to_super(_x_channel())
+    assert approx_eq(mix.matrix, want, 1e-15)
