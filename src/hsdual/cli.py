@@ -128,8 +128,6 @@ def _parse_channel(obj, tol: float, seed: int) -> Super:
                 raise _InputError("super matrix rows and cols must be >= 0")
             M = entries_from_json(m["data"], rows * cols, "super matrix").reshape(rows, cols)
             return super_channel(dim_in, dim_out, M, tol, seed=seed)
-    except _InputError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"malformed channel JSON: {exc}") from exc
     except InvalidChannel as exc:

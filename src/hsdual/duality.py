@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, dagger
+from .linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, dagger, hermitian_part
 from .operators import OperatorKind, in_kind
 
 
@@ -127,7 +127,7 @@ def hs_forward(kind: OperatorKind, A: np.ndarray, tol: float = DEFAULT_TOL) -> F
     A = as_matrix(A)
     if not in_kind(A, kind, tol):
         raise KindMismatch(f"operator does not classify as {kind.value} at tol={tol}")
-    inducer = A.copy() if kind == OperatorKind.BOUNDED else (A + dagger(A)) / 2.0
+    inducer = A.copy() if kind == OperatorKind.BOUNDED else hermitian_part(A)
     n = A.shape[0]
 
     def evaluate_stack(Bs: np.ndarray) -> np.ndarray:
@@ -224,13 +224,12 @@ def _spot_check(f: Functional, tol: float) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(0x5D0A11CE)
     shape = (16, f.dim, f.dim)
     G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    Gdag = G.conj().transpose(0, 2, 1)
     if kind == OperatorKind.BOUNDED:
         probes = G
     elif kind == OperatorKind.SELF_ADJOINT:
-        probes = (G + Gdag) / 2.0
+        probes = hermitian_part(G)
     else:
-        probes = G @ Gdag
+        probes = G @ G.conj().transpose(0, 2, 1)
         if kind in (OperatorKind.EFFECT, OperatorKind.DENSITY):
             probes = probes / np.einsum("bii->b", probes).real[:, None, None]
         if kind == OperatorKind.DENSITY:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from .duality import _STACK_ENTRIES
-from .linalg import DEFAULT_TOL, approx_eq, identity, zeros
+from .linalg import DEFAULT_TOL, approx_eq, hermitian_part, identity, zeros
 from .operators import OperatorKind, loewner_leq, sample, sample_unitary
 
 
@@ -235,10 +235,7 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
             rng = np.random.default_rng(seed)
             mask = rng.integers(0, 2, size=dim) == 1
             cols = shared_basis[:, mask]
-            if cols.shape[1] == 0:
-                return zeros(dim)
-            P = cols @ cols.conj().T
-            return (P + P.conj().T) / 2.0
+            return hermitian_part(cols @ cols.conj().T)
         return sample(OperatorKind.PROJECTION, dim, seed)
 
     return EffectInstance(

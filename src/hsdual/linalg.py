@@ -2,17 +2,19 @@
 
 Operators are square numpy arrays of dtype complex128, treated as immutable
 values: every function returns a fresh array and never mutates its input.
+The package forms every Hermitian part X/2 + X^dagger/2 and Hermiticity
+residual max|X - X^dagger| here, by ``hermitian_part`` and ``is_hermitian``.
 The eigensolver is a cyclic Jacobi iteration with complex 2x2 rotations; it
 is deliberately written out in full rather than delegated, so its numerical
 behaviour (convergence criterion, sweep budget, eigenvalue ordering) is
 pinned down by this module alone.  ``hermitian_eig`` is the package's only
 way to ask for a spectrum: it checks Hermiticity at the caller's tolerance,
-symmetrizes its input and converges to min(tol, EIG_TOL), floored at machine
-epsilon.  Its keyword ``vectors`` says whether the caller needs eigenvectors:
-with ``vectors=False`` the sweeps skip accumulating the rotations, which
-leaves the eigenvalues bit-identical and returns ``vectors=None``.  Kind
-checks read only the spectrum; a full decomposition is for callers that
-rebuild operators from the eigenpairs.
+sweeps the Hermitian part scaled by an exact power of two, and converges to
+min(tol, EIG_TOL), floored at machine epsilon.  Its keyword ``vectors`` says
+whether the caller needs eigenvectors: with ``vectors=False`` the sweeps
+skip accumulating the rotations, which leaves the eigenvalues bit-identical
+and returns ``vectors=None``.  Kind checks read only the spectrum; a full
+decomposition is for callers that rebuild operators from the eigenpairs.
 """
 
 from __future__ import annotations
@@ -107,8 +109,22 @@ def approx_eq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_norm(A - B) <= tol
 
 
+def hermitian_part(X: np.ndarray) -> np.ndarray:
+    """X/2 + X^dagger/2 of a matrix or a (b, n, n) stack; halving first,
+    so that finite entries cannot overflow."""
+    H = np.asarray(X) / 2.0
+    return H + H.conj().swapaxes(-1, -2)
+
+
+def _hermiticity_residual(A: np.ndarray) -> float:
+    """max|A - A^dagger| over a matrix or a stack; inf, failing every finite
+    tol, where it overflows."""
+    with np.errstate(over="ignore"):
+        return max_norm(A - A.conj().swapaxes(-1, -2))
+
+
 def is_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return max_norm(A - A.conj().T) <= tol
+    return _hermiticity_residual(A) <= tol
 
 
 @dataclass(frozen=True)
@@ -150,12 +166,15 @@ def hermitian_eig(
 
     The input must be Hermitian within tol (max-norm), else NotHermitian is
     raised; callers pass their matrix as it is, and the solver works on its
-    exactly Hermitian part (A + A^dagger)/2.  Sweeps over all index pairs
-    apply 2x2 unitary rotations until the off-diagonal Frobenius mass drops to
-    min(tol, EIG_TOL) times the diagonal mass, so solver noise never decides a
-    threshold at tol; the target is floored at machine epsilon, which a tighter
-    tol cannot improve on.  If 100 sweeps do not get there, NoConvergence is
-    raised.
+    exactly Hermitian part, scaled by the power of two that puts its largest
+    real or imaginary entry in [0.5, 1), so that no sum of squares overflows
+    or underflows; the exact scale changes no rotation, and the eigenvalues
+    are scaled back.  Sweeps over all index pairs apply 2x2 unitary rotations
+    until the off-diagonal Frobenius mass drops to min(tol, EIG_TOL) times
+    the diagonal mass, so solver noise never decides a threshold at tol; the
+    target is floored at machine epsilon, which a tighter tol cannot improve
+    on.  If 100 sweeps do not get there, NoConvergence is raised; an
+    eigenvalue beyond the float range raises LinalgError.
 
     With ``vectors=False`` the rotations are not accumulated into an
     eigenvector matrix and the result's ``vectors`` is None.  The rotations
@@ -163,23 +182,23 @@ def hermitian_eig(
     to those of a full decomposition.
     """
     A = as_matrix(A)
-    if not is_hermitian(A, tol):
-        raise NotHermitian(
-            f"matrix is not self-adjoint within {tol} (residual {max_norm(A - A.conj().T):.3e})"
-        )
+    residual = _hermiticity_residual(A)
+    if not residual <= tol:
+        raise NotHermitian(f"matrix is not self-adjoint within {tol} (residual {residual:.3e})")
     n = A.shape[0]
     tol = max(min(tol, EIG_TOL), _EIG_FLOOR)
-    H = (A + A.conj().T) / 2.0
+    H = hermitian_part(A)
+    exponent = math.frexp(np.abs(H.view(np.float64)).max())[1]
+    H = np.ldexp(H.view(np.float64), -exponent).view(np.complex128)
     V = np.eye(n, dtype=np.complex128) if vectors else None
 
-    if n == 1:
-        return EigenDecomposition(np.array([H[0, 0].real]), V)
-
-    converged = False
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS + 1):
         if _offdiag_mass(H) <= tol * _diag_mass(H):
-            converged = True
             break
+        if sweep == _MAX_SWEEPS:
+            raise NoConvergence(
+                f"Jacobi iteration did not reach tolerance {tol} in {_MAX_SWEEPS} sweeps"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
                 beta = H[p, q]
@@ -221,17 +240,12 @@ def hermitian_eig(
                     vcolq = -s.conjugate() * V[:, p] + c * V[:, q]
                     V[:, p] = vcolp
                     V[:, q] = vcolq
-    else:
-        converged = _offdiag_mass(H) <= tol * _diag_mass(H)
-
-    if not converged:
-        raise NoConvergence(
-            f"Jacobi iteration did not reach tolerance {tol} in {_MAX_SWEEPS} sweeps"
-        )
-
-    eigs = np.diag(H).real.copy()
+    with np.errstate(over="ignore"):
+        eigs = np.ldexp(np.diag(H).real, exponent)
+    if not np.isfinite(eigs).all():
+        raise LinalgError("an eigenvalue is beyond the float range")
     order = np.argsort(-eigs, kind="stable")
-    return EigenDecomposition(eigs[order].copy(), None if V is None else V[:, order].copy())
+    return EigenDecomposition(eigs[order], None if V is None else V[:, order])
 
 
 # --- JSON encoding ----------------------------------------------------------

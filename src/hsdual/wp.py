@@ -40,7 +40,7 @@ import numpy as np
 
 from .algebra import AlgebraError, Semiring, convex_state_carrier, formal_sum, interpret
 from .duality import DualityError, Functional, hs_inverse
-from .linalg import DEFAULT_TOL, as_matrix, identity, max_norm
+from .linalg import DEFAULT_TOL, as_matrix, hermitian_part, identity, is_hermitian, max_norm
 from .operators import OperatorKind, in_kind
 
 
@@ -243,14 +243,12 @@ def _choi_certifies(M: np.ndarray, images: np.ndarray, dim_in: int, dim_out: int
     an eigensolve.  The images must also be finite and Hermitian within tol,
     as in_kind requires.  False means "not proven", never "not positive".
     """
-    if tol < CHOI_TOL_FLOOR or not np.all(np.isfinite(images)):
-        return False
-    if max_norm(images - images.conj().swapaxes(1, 2)) > tol:
+    if tol < CHOI_TOL_FLOOR or not (np.all(np.isfinite(images)) and is_hermitian(images, tol)):
         return False
     n = dim_in * dim_out
     J = M.reshape(dim_out, dim_out, dim_in, dim_in).transpose(2, 0, 3, 1).reshape(n, n)
-    try:  # halves first, so that huge finite entries cannot overflow
-        factor = np.linalg.cholesky(J / 2 + J.conj().T / 2 + (tol / 2) * identity(n))
+    try:
+        factor = np.linalg.cholesky(hermitian_part(J) + (tol / 2) * identity(n))
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(factor)))
