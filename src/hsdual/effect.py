@@ -332,40 +332,14 @@ def _scalar_pool(rng: np.random.Generator, count: int) -> list[Fraction]:
     return [grid[int(rng.integers(0, len(grid)))] for _ in range(count)]
 
 
-def _stacked_cases(
-    inst: EffectInstance,
-    pool: list,
-    pairs: list,
-    triples: list,
-    complement: Callable,
-    unique_case: Callable,
-) -> tuple[Iterable, ...]:
-    """For each of ``law_suite``'s six effect-algebra laws, in its order, the
-    (position, check arguments) of the cases whose check fails.
+def _stacked_tests(inst: EffectInstance) -> dict[str, Callable]:
+    """Each effect-algebra law's check, written on stacks with ``inst.stacked``.
 
-    Each law is tested with ``inst.stacked`` on stacks of its cases, a chunk
-    of at most _STACK_ENTRIES matrix entries per operand at a time; a case
-    is flagged when its per-element check would fail.  Only flagged cases
-    are yielded, in case order, with the arguments the per-element check
-    takes, so that ``law_suite`` words the counterexample the same way on
-    both paths.
+    A law's test takes one operand stack per column of its index rows (see
+    ``law_suite``) and returns the mask of the cases whose per-element check
+    fails.
     """
     ops = inst.stacked
-    stack = np.stack(pool)
-    stack.setflags(write=False)
-    size = max(1, _STACK_ENTRIES // stack[0].size)
-
-    def flagged(*segments):
-        # segment: (rows, test, case).  rows is an (m, k) array of pool
-        # indices; test maps a chunk's k operand stacks to the mask of rows
-        # whose check fails; case(*row) gives that check's arguments.
-        offset = 0
-        for rows, test, case in segments:
-            for lo in range(0, len(rows), size):
-                chunk = rows[lo : lo + size]
-                for at in np.flatnonzero(test(*stack[chunk.T])):
-                    yield offset + lo + int(at) + 1, case(*map(int, chunk[at]))
-            offset += len(rows)
 
     def zero(X):
         return np.broadcast_to(inst.zero, X.shape)
@@ -389,8 +363,8 @@ def _stacked_cases(
         XY_Z, d_xy_z = ops.ovee(XY, Z)
         return d_yz & d_x_yz & ~(d_xy & d_xy_z & ops.eq(X_YZ, XY_Z))
 
-    def orth_exists(X):
-        S, defined = ops.ovee(X, ops.orth(X))
+    def orth_exists(X, Xo):
+        S, defined = ops.ovee(X, Xo)
         return ~defined | ~ops.eq(S, one(X))
 
     def orth_unique(X, Y):
@@ -401,39 +375,14 @@ def _stacked_cases(
         _, defined = ops.ovee(X, one(X))
         return defined & ~ops.eq(X, zero(X))
 
-    def element(i):
-        return (pool[i],)
-
-    singles = np.arange(len(pool))[:, None]
-    pair_rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    triple_rows = np.array(triples, dtype=np.intp).reshape(-1, 3)
-    return (
-        flagged((singles, zero_unit, element)),
-        flagged((pair_rows, commutativity, lambda i, j: (i, j))),
-        flagged((triple_rows, associativity, lambda i, j, k: (i, j, k))),
-        flagged((singles, orth_exists, complement)),
-        flagged(
-            (pair_rows, orth_unique, unique_case),
-            (singles, lambda X: orth_unique(X, ops.orth(X)), complement),
-        ),
-        flagged((singles, one_maximal, element)),
-    )
-
-
-def _confirming(inst: EffectInstance, law: str, check: Callable) -> Callable:
-    """``check``, raising ValueError where it passes a case that
-    ``inst.stacked`` flagged: the two sets of operations then disagree."""
-
-    def confirmed(*case):
-        msg = check(*case)
-        if msg is None:
-            raise ValueError(
-                f"{inst.name}: the stacked operations fail a {law} case"
-                " that ovee, eq and orth pass"
-            )
-        return msg
-
-    return confirmed
+    return {
+        "zero-unit": zero_unit,
+        "commutativity": commutativity,
+        "associativity": associativity,
+        "orthosupplement-exists": orth_exists,
+        "orthosupplement-unique": orth_unique,
+        "one-maximal": one_maximal,
+    }
 
 
 def law_suite(
@@ -451,66 +400,68 @@ def law_suite(
     Carrier equality is the instance's own ``eq``; ``tol`` is recorded in
     the report for downstream thresholds.
 
-    Cost: each ordered pair of pool elements is summed at most once per run
-    and shared by every law that needs it, so an exhaustive pool of n
-    elements costs n² pair sums.  Likewise x (+) orth(x) is computed once
-    per pool element and shared by both orthosupplement laws.  These sums
-    live for one call; nothing is cached across calls.  Associativity holds
-    vacuously where y (+) z is undefined, so it visits only the triples
-    (x, y, z) with y (+) z defined; ``checked`` still counts all of them
-    (n³, or the number of sampled triples), or gives the 1-based x-major
+    Every law runs over rows of pool indices: singles, pairs, triples, or
+    the complement rows (x, orth(x)).  Its cases are the rows in order, and
+    it stops at the first row whose per-element check fails.
+
+    Cost: each ordered pair of elements is summed at most once per run and
+    shared by every law that needs it, so an exhaustive pool of n elements
+    costs n² pair sums.  Likewise orth(x) and x (+) orth(x) are computed
+    once per pool element and shared by both orthosupplement laws.  These
+    values live for one call; nothing is cached across calls.
+    Associativity holds vacuously where y (+) z is undefined, so an
+    exhaustive pool visits only the triples (x, y, z) with y (+) z defined;
+    ``checked`` still counts all n³ of them, or gives the 1-based x-major
     position of the first failing triple.
 
-    A sampled pool of an instance with ``stacked`` is stacked once instead,
-    and each of the six effect-algebra laws tests all its cases with
-    ``stacked``, a chunk of at most 2^16 matrix entries per operand at a
-    time, so the memory beyond the pool stays bounded for any ``samples``.
-    The per-element operations then run only on the first failing case, to
-    word its counterexample; the report equals the per-element one (same
-    draws, counts, positions and text), and ValueError is raised if the
-    per-element check passes a case that ``stacked`` failed.  The scalar
-    laws always run per element.
+    A sampled pool of an instance with ``stacked`` is stacked once, with its
+    orthosupplements, and each of the six effect-algebra laws tests its rows
+    with ``stacked``, a chunk of at most 2^16 matrix entries per operand at
+    a time, so the memory beyond those two stacks stays bounded for any
+    ``samples``.  Only the rows a test flags run per element, to word the
+    counterexample; the report equals the per-element one (same draws,
+    counts, positions and text), and ValueError is raised if the per-element
+    check passes a flagged case.  The scalar laws always run per element.
     """
     pool, exhaustive = _element_pool(inst, samples, seed)
     rng = np.random.default_rng(seed)
     n = len(pool)
 
-    # pairs and triples hold pool indices
+    # rows index ``elements``: pool[i] at i, orth(pool[i]) at n + i
+    singles = np.arange(n)[:, None]
+    complements = np.column_stack((np.arange(n), np.arange(n, 2 * n)))
     if exhaustive:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
+        pairs = np.indices((n, n)).reshape(2, -1).T
+        triples = np.indices((n, n, n)).reshape(3, -1).T
     else:
         # one call draws what 5 * samples calls rng.integers(0, n) would, in
         # the same order: two per pair, then three per triple
         draws = rng.integers(0, n, size=5 * samples)
-        pairs = list(map(tuple, draws[: 2 * samples].reshape(-1, 2).tolist()))
-        triples = list(map(tuple, draws[2 * samples :].reshape(-1, 3).tolist()))
+        pairs = draws[: 2 * samples].reshape(-1, 2)
+        triples = draws[2 * samples :].reshape(-1, 3)
+
+    elements = pool + [_MISSING] * n
+
+    def element(i: int):
+        """pool[i], or orth(pool[i - n]) computed once per run."""
+        x = elements[i]
+        if x is _MISSING:
+            x = elements[i] = inst.orth(pool[i - n])
+        return x
 
     sums: dict = {}
 
     def pair_sum(i: int, j: int):
-        """pool[i] (+) pool[j], computed once per run."""
+        """element(i) (+) element(j), computed once per run."""
         s = sums.get((i, j), _MISSING)
         if s is _MISSING:
-            s = sums[i, j] = inst.ovee(pool[i], pool[j])
+            s = sums[i, j] = inst.ovee(element(i), element(j))
         return s
-
-    entries: list[LawEntry] = []
-
-    def record(law: str, total: int, cases: Iterable, check: Callable) -> None:
-        # cases yields (1-based position, args); the first failure ends the law
-        for position, case in cases:
-            msg = check(*case)
-            if msg is not None:
-                entries.append(LawEntry(law, False, position, msg))
-                return
-        entries.append(LawEntry(law, True, total, None))
-
-    def run(law: str, instances: list, check: Callable) -> None:
-        record(law, len(instances), enumerate(instances, 1), check)
 
     d = inst.describe
 
-    def chk_zero(x):
+    def chk_zero(i):
+        x = pool[i]
         s = inst.ovee(inst.zero, x)
         if s is None:
             return f"0 (+) x undefined for x = {d(x)}"
@@ -546,89 +497,61 @@ def law_suite(
             return f"associativity fails for x = {d(x)}, y = {d(y)}, z = {d(z)}"
         return None
 
-    def chk_orth_exists(x, xo, s):
+    def chk_orth_exists(i, c):
+        s = pair_sum(i, c)
         if s is None:
-            return f"x (+) orth(x) undefined for x = {d(x)}"
+            return f"x (+) orth(x) undefined for x = {d(pool[i])}"
         if not inst.eq(s, inst.one):
-            return f"x (+) orth(x) != 1 for x = {d(x)}"
+            return f"x (+) orth(x) != 1 for x = {d(pool[i])}"
         return None
 
-    def chk_orth_unique(x, y, s):
+    def chk_orth_unique(i, j):
+        s = pair_sum(i, j)
         if s is None or not inst.eq(s, inst.one):
             return None
-        if not inst.eq(y, inst.orth(x)):
-            return f"x (+) y = 1 but y != orth(x) for x = {d(x)}, y = {d(y)}"
+        y = element(j)
+        if not inst.eq(y, element(n + i)):
+            return f"x (+) y = 1 but y != orth(x) for x = {d(pool[i])}, y = {d(y)}"
         return None
 
-    def chk_one_maximal(x):
+    def chk_one_maximal(i):
+        x = pool[i]
         s = inst.ovee(x, inst.one)
         if s is not None and not inst.eq(x, inst.zero):
             return f"x (+) 1 defined for x != 0: x = {d(x)}"
         return None
 
-    # x (+) orth(x), once per pool element: the existence law reads it, and
-    # the uniqueness law runs on these complement pairs too, so that it is
-    # exercised even when random pairs rarely sum to 1
-    def complement(i: int) -> tuple:
-        x = pool[i]
-        xo = inst.orth(x)
-        return x, xo, inst.ovee(x, xo)
-
-    def unique_case(i: int, j: int) -> tuple:
-        return pool[i], pool[j], pair_sum(i, j)
-
-    laws = (
-        ("zero-unit", n, chk_zero),
-        ("commutativity", len(pairs), chk_comm),
-        ("associativity", n**3 if exhaustive else len(triples), chk_assoc),
-        ("orthosupplement-exists", n, chk_orth_exists),
-        ("orthosupplement-unique", len(pairs) + n, chk_orth_unique),
-        ("one-maximal", n, chk_one_maximal),
-    )
-    if exhaustive or inst.stacked is None:
-        if exhaustive:
-            # x-major over the (y, z) pairs with y (+) z defined; triple
-            # (i, j, k) sits at position i n² + j n + k + 1
-            defined = [(j, k) for j, k in pairs if pair_sum(j, k) is not None]
-            assoc_cases = (
-                (i * n * n + j * n + k + 1, (i, j, k)) for i in range(n) for j, k in defined
-            )
-        else:
-            assoc_cases = enumerate(triples, 1)
-        singles = [(x,) for x in pool]
-        complements = [complement(i) for i in range(n)]
-        unique_cases = [unique_case(i, j) for i, j in pairs] + complements
-        cases = (
-            enumerate(singles, 1),
-            enumerate(pairs, 1),
-            assoc_cases,
-            enumerate(complements, 1),
-            enumerate(unique_cases, 1),
-            enumerate(singles, 1),
-        )
-    else:
-        cases = _stacked_cases(inst, pool, pairs, triples, complement, unique_case)
-        laws = tuple((law, total, _confirming(inst, law, check)) for law, total, check in laws)
-    for (law, total, check), law_cases in zip(laws, cases):
-        record(law, total, law_cases, check)
+    # (law, index rows, per-element check); the uniqueness law also runs on
+    # the complement rows, so that it is exercised even when random pairs
+    # rarely sum to 1
+    laws = [
+        ("zero-unit", singles, chk_zero),
+        ("commutativity", pairs, chk_comm),
+        ("associativity", triples, chk_assoc),
+        ("orthosupplement-exists", complements, chk_orth_exists),
+        ("orthosupplement-unique", np.concatenate((pairs, complements)), chk_orth_unique),
+        ("one-maximal", singles, chk_one_maximal),
+    ]
 
     if inst.scalar_mul is not None:
         smul = inst.scalar_mul
         scalars = _scalar_pool(rng, max(len(pairs), 1))
 
-        def chk_scalar_one(x):
+        def chk_scalar_one(i):
+            x = pool[i]
             if not inst.eq(smul(Fraction(1), x), x):
                 return f"1 . x != x for x = {d(x)}"
             return None
 
-        def chk_scalar_assoc(i, x):
+        def chk_scalar_assoc(i):
+            x = pool[i]
             r, s = scalars[i % len(scalars)], scalars[(i * 7 + 3) % len(scalars)]
             if not inst.eq(smul(r * s, x), smul(r, smul(s, x))):
                 return f"(r s) . x != r . (s . x) for r = {r}, s = {s}, x = {d(x)}"
             return None
 
-        def chk_scalar_distrib_elem(i, a, b):
-            r = scalars[i % len(scalars)]
+        def chk_scalar_distrib_elem(p, a, b):
+            r = scalars[p % len(scalars)]
             s = pair_sum(a, b)
             if s is None:
                 return None
@@ -640,7 +563,8 @@ def law_suite(
                 return f"r.(x (+) y) != r.x (+) r.y for r = {r}, x = {d(x)}, y = {d(y)}"
             return None
 
-        def chk_scalar_distrib_scalar(i, x):
+        def chk_scalar_distrib_scalar(i):
+            x = pool[i]
             r, s = scalars[i % len(scalars)], scalars[(i * 5 + 1) % len(scalars)]
             if r + s > 1:
                 return None
@@ -651,18 +575,55 @@ def law_suite(
                 return f"(r + s).x != r.x (+) s.x for r = {r}, s = {s}, x = {d(x)}"
             return None
 
-        run("scalar-unit", [(x,) for x in pool], chk_scalar_one)
-        run("scalar-associativity", [(i, x) for i, x in enumerate(pool)], chk_scalar_assoc)
-        run(
-            "scalar-distributes-over-sum",
-            [(i, a, b) for i, (a, b) in enumerate(pairs)],
-            chk_scalar_distrib_elem,
-        )
-        run(
-            "scalar-sum-distributes",
-            [(i, x) for i, x in enumerate(pool)],
-            chk_scalar_distrib_scalar,
-        )
+        indexed_pairs = np.column_stack((np.arange(len(pairs)), pairs))
+        laws += [
+            ("scalar-unit", singles, chk_scalar_one),
+            ("scalar-associativity", singles, chk_scalar_assoc),
+            ("scalar-distributes-over-sum", indexed_pairs, chk_scalar_distrib_elem),
+            ("scalar-sum-distributes", singles, chk_scalar_distrib_scalar),
+        ]
+
+    # flags[law] marks a chunk's candidate rows; a law without one runs
+    # every row.  A stacked test flags the rows whose check fails.
+    if exhaustive or inst.stacked is None:
+        chunk, tests = _STACK_ENTRIES, {}
+    else:
+        stack = np.stack(pool)
+        stack.setflags(write=False)
+        stack = np.concatenate((stack, inst.stacked.orth(stack)))
+        stack.setflags(write=False)
+        chunk = max(1, _STACK_ENTRIES // stack[0].size)
+        tests = {
+            law: lambda rows, test=test: test(*stack[rows.T])
+            for law, test in _stacked_tests(inst).items()
+        }
+    flags = dict(tests)
+    if exhaustive:
+        defined = np.array([[pair_sum(j, k) is not None for k in range(n)] for j in range(n)])
+        flags["associativity"] = lambda rows: defined[rows[:, 1], rows[:, 2]]
+
+    def candidates(rows: np.ndarray, flag: Optional[Callable]) -> Iterable:
+        """(1-based position, row) of each flagged row, a chunk at a time."""
+        for lo in range(0, len(rows), chunk):
+            block = rows[lo : lo + chunk]
+            at = np.arange(len(block)) if flag is None else np.flatnonzero(flag(block))
+            yield from zip((at + lo + 1).tolist(), zip(*block[at].T.tolist()))
+
+    entries: list[LawEntry] = []
+    for law, rows, check in laws:
+        stacked = law in tests
+        for position, row in candidates(rows, flags.get(law)):
+            msg = check(*row)
+            if msg is not None:
+                entries.append(LawEntry(law, False, position, msg))
+                break
+            if stacked:
+                raise ValueError(
+                    f"{inst.name}: the stacked operations fail a {law} case"
+                    " that ovee, eq and orth pass"
+                )
+        else:
+            entries.append(LawEntry(law, True, len(rows), None))
 
     return LawReport(inst.name, seed, tol, tuple(entries))
 

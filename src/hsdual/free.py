@@ -27,11 +27,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    LinalgError,
     NotHermitian,
     approx_eq,
     as_matrix,
     is_hermitian,
-    trace,
     zeros,
 )
 from .operators import (
@@ -110,11 +110,18 @@ def s_iso_dm_pos(u: WeightedPoint, dim: int) -> np.ndarray:
 
 
 def s_iso_pos_dm(B: np.ndarray, tol: float = DEFAULT_TOL) -> WeightedPoint:
-    """Inverse direction: trace-normalize, keeping the trace as the weight."""
+    """Inverse direction: trace-normalize, keeping the trace as the weight.
+
+    NotPositive unless B is positive at tol; LinalgError if its trace is
+    beyond the float range, as no weight can hold it.
+    """
     B = as_matrix(B)
     if not in_kind(B, OperatorKind.POSITIVE, tol):
         raise NotPositive("s_iso_pos_dm expects a positive operator")
-    t = trace(B).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = float(np.trace(B).real)
+    if not np.isfinite(t):
+        raise LinalgError("the trace is beyond the float range")
     if t <= tol:
         return s_zero()
     return WeightedPoint(t, B / t)

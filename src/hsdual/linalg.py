@@ -101,12 +101,14 @@ def outer_unit(j: int, k: int, dim: int) -> np.ndarray:
 
 
 def approx_eq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the max-norm of A - B is at most tol."""
+    """True iff the max-norm of A - B is at most tol; a difference that
+    overflows reads inf and fails."""
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
-    return max_norm(A - B) <= tol
+    with np.errstate(over="ignore"):
+        return max_norm(A - B) <= tol
 
 
 def hermitian_part(X: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ as they are: it owns the Hermiticity check, the symmetrization and the
 convergence target, min(tol, 1e-12) floored at machine epsilon.  Only
 ``pos_neg_split`` rebuilds operators from eigenpairs, so it alone asks for
 eigenvectors; ``classify``, ``in_kind``, ``loewner_leq`` and the effect
-sampler read the spectrum alone (``vectors=False``).
+sampler read the spectrum alone (``vectors=False``).  Where a kind check
+needs a spectrum, hermitian_eig's NotHermitian is its self-adjointness
+verdict, so the Hermiticity residual is formed once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     LinalgError,
+    NotHermitian,
     as_matrix,
     hermitian_eig,
     hermitian_part,
@@ -104,7 +107,8 @@ def _meets(kind: OperatorKind, A: np.ndarray, tol: float, eigenvalues) -> bool:
     if kind == OperatorKind.EFFECT:
         return positive and float(eigenvalues[0]) <= 1.0 + tol
     if kind == OperatorKind.DENSITY:
-        return positive and abs(trace(A) - 1.0) <= tol
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow the trace
+            return positive and bool(np.abs(np.trace(A) - 1.0) <= tol)  # a NaN trace fails
     return positive
 
 
@@ -118,9 +122,11 @@ def classify(A: np.ndarray, tol: float = DEFAULT_TOL) -> KindReport:
     the witness; to ask about one kind, in_kind is cheaper.
     """
     A = as_matrix(A)
-    if not is_hermitian(A, tol):
+    try:
+        spectrum = hermitian_eig(A, tol, vectors=False).eigenvalues
+    except NotHermitian:
         return KindReport((OperatorKind.BOUNDED,), None)
-    eigenvalues = tuple(float(x) for x in hermitian_eig(A, tol, vectors=False).eigenvalues)
+    eigenvalues = tuple(float(x) for x in spectrum)
     kinds = tuple(k for k in KIND_ORDER if _meets(k, A, tol, eigenvalues))
     return KindReport(kinds, eigenvalues)
 
@@ -134,9 +140,12 @@ def in_kind(A: np.ndarray, kind: OperatorKind, tol: float = DEFAULT_TOL) -> bool
     A = as_matrix(A)
     if kind == OperatorKind.BOUNDED:
         return True
-    if not is_hermitian(A, tol):
+    if kind not in _SPECTRAL:
+        return is_hermitian(A, tol) and _meets(kind, A, tol, None)
+    try:
+        eigenvalues = hermitian_eig(A, tol, vectors=False).eigenvalues
+    except NotHermitian:
         return False
-    eigenvalues = hermitian_eig(A, tol, vectors=False).eigenvalues if kind in _SPECTRAL else None
     return _meets(kind, A, tol, eigenvalues)
 
 
@@ -162,10 +171,14 @@ def sa_components(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Loewner order: A <= B iff B - A has no eigenvalue below -tol.
 
-    NotHermitian if B - A is not self-adjoint within tol.
+    NotHermitian if B - A is not self-adjoint within tol.  The difference
+    is formed as B/2 - A/2, which finite entries cannot overflow, and judged
+    at tol/2.  Halving is exact for normal floats, so the verdict is that of
+    B - A at tol; only a tol below 2e-12 tightens the solver's convergence
+    target.
     """
-    dec = hermitian_eig(as_matrix(B) - as_matrix(A), tol, vectors=False)
-    return float(dec.eigenvalues[-1]) >= -tol
+    dec = hermitian_eig(as_matrix(B) / 2 - as_matrix(A) / 2, tol / 2, vectors=False)
+    return float(dec.eigenvalues[-1]) >= -tol / 2
 
 
 # --- samplers ---------------------------------------------------------------

@@ -101,7 +101,9 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
     """
     U = as_matrix(U)
     n = U.shape[0]
-    if max_norm(U.conj().T @ U - identity(n)) > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries may overflow
+        residual = max_norm(U.conj().T @ U - identity(n))
+    if not residual <= tol:  # written so that a NaN residual fails
         raise InvalidChannel("matrix is not unitary within tolerance")
     return _channel(Super, n, n, np.kron(U, U.conj()))
 

@@ -1,0 +1,106 @@
+"""Huge finite entries and overflowing residuals, held to a verdict.
+
+Every case here runs with all warnings raised as errors: a matrix whose
+entries are finite but near the top of the float range must get a correct
+answer or a documented exception, never a RuntimeWarning or a NaN that
+slips through a ``> tol`` test.  The last cases pin that a kind check forms
+the Hermiticity residual once, inside hermitian_eig.
+"""
+
+import json
+import warnings
+
+import pytest
+
+from hsdual import linalg
+from hsdual.cli import main
+from hsdual.free import s_iso_pos_dm
+from hsdual.linalg import LinalgError, approx_eq
+from hsdual.operators import OperatorKind, classify, in_kind, loewner_leq
+from hsdual.wp import InvalidChannel, unitary_channel
+
+from conftest import mat
+
+HUGE = mat([[1e308, 0], [0, 1e308]])
+HUGE_UNITARY = [[1e308 + 1e308j, 1e308], [1e308, -1e308j]]
+
+
+@pytest.fixture(autouse=True)
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def test_unitary_channel_refuses_a_matrix_whose_residual_is_nan():
+    with pytest.raises(InvalidChannel, match="not unitary"):
+        unitary_channel(HUGE_UNITARY)
+
+
+def test_classify_a_huge_diagonal_without_overflowing_its_trace():
+    report = classify(HUGE)
+    assert report.kinds == (OperatorKind.BOUNDED, OperatorKind.SELF_ADJOINT, OperatorKind.POSITIVE)
+    assert report.eigenvalues == (1e308, 1e308)
+
+
+def test_a_trace_beyond_the_float_range_is_not_a_density():
+    assert not in_kind(HUGE, OperatorKind.DENSITY)
+
+
+def test_loewner_order_across_the_whole_float_range():
+    low, high = mat([[-1e308, 0], [0, 0]]), mat([[1e308, 0], [0, 0]])
+    assert loewner_leq(low, high)
+    assert not loewner_leq(high, low)
+
+
+def test_s_iso_pos_dm_refuses_a_trace_beyond_the_float_range():
+    with pytest.raises(LinalgError, match="float range"):
+        s_iso_pos_dm(HUGE)
+
+
+def test_approx_eq_reads_an_overflowing_difference_as_unequal():
+    assert not approx_eq(mat([[-1e308, 0], [0, 0]]), mat([[1e308, 0], [0, 0]]))
+
+
+def test_cli_classifies_a_huge_diagonal_quietly(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2, "data": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}))
+    assert main(["classify", "--matrix", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["kinds"] == ["Bounded", "SelfAdjoint", "Positive"]
+    assert captured.err == ""
+
+
+def test_cli_wp_refuses_a_huge_non_unitary_channel(capsys, tmp_path):
+    data = [[z.real, z.imag] for z in map(complex, sum(HUGE_UNITARY, []))]
+    channel = tmp_path / "huge-unitary.json"
+    channel.write_text(json.dumps({"type": "unitary", "matrix": {"dim": 2, "data": data}}))
+    effect = tmp_path / "p0.json"
+    effect.write_text(json.dumps({"dim": 2, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert main(["wp", "--channel", str(channel), "--effect", str(effect)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid channel:")
+
+
+@pytest.fixture
+def residuals(monkeypatch):
+    """A list that grows by one per Hermiticity residual formed."""
+    seen = []
+    residual = linalg._hermiticity_residual
+
+    def counted(A):
+        seen.append(A.shape)
+        return residual(A)
+
+    monkeypatch.setattr(linalg, "_hermiticity_residual", counted)
+    return seen
+
+
+def test_classify_forms_the_hermiticity_residual_once(residuals):
+    classify(mat([[0.5, 0.1], [0.1, 0.5]]))
+    assert len(residuals) == 1
+
+
+@pytest.mark.parametrize("kind", [OperatorKind.POSITIVE, OperatorKind.EFFECT, OperatorKind.DENSITY])
+def test_spectral_kind_checks_form_the_hermiticity_residual_once(residuals, kind):
+    assert in_kind(mat([[0.5, 0.1], [0.1, 0.5]]), kind)
+    assert len(residuals) == 1
