@@ -194,9 +194,11 @@ def _reconstruct(f: Functional) -> np.ndarray:
         return v.reshape(n, n)
     v = v.real
     A = np.diag(v[:n]).astype(np.complex128)
-    mean = (v[j] + v[k]) / 2.0
-    re_jk = v[n::2] - mean
-    im_jk = mean - v[n + 1 :: 2]
+    # values near the float range may give an inf or NaN entry, which fails the spot comparison
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (v[j] + v[k]) / 2.0
+        re_jk = v[n::2] - mean
+        im_jk = mean - v[n + 1 :: 2]
     A.real[j, k] = re_jk
     A.imag[j, k] = im_jk
     A.real[k, j] = re_jk
@@ -243,6 +245,11 @@ def _spot_check(f: Functional, tol: float) -> tuple[np.ndarray, np.ndarray]:
     stack.setflags(write=False)
     values = f.on_stack(stack)
     spot = values[:16]
+    finite = np.isfinite(spot)
+    if not finite.all():
+        raise ContractViolation(
+            f"{kind.value} functional gave the non-finite value {spot[~finite][0]} on a spot probe"
+        )
     scale = np.maximum(1.0, np.abs(spot))
     bad = None
     if kind == OperatorKind.SELF_ADJOINT:
@@ -283,6 +290,12 @@ def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> n
     raised -- that signals f was not induced by any operator of this kind;
     only the positive, effect and density kinds pay an eigensolve for it.
     In all, 16 + dim^2 evaluations (17 + dim^2 for density).
+
+    A spot value beyond the float range (inf or NaN, as when an operator
+    with entries near 1e308 pairs with a probe) is a ContractViolation that
+    names the value; a reconstruction whose entries or pairings overflow
+    fails the comparison with an inf or NaN residual.  Neither emits a
+    RuntimeWarning.
     """
     if kind not in DUAL_KINDS:
         raise KindMismatch(f"kind {kind} has no trace pairing")
@@ -292,7 +305,8 @@ def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> n
         raise KindMismatch("functional must carry a positive dimension")
     probes, values = _spot_check(f, tol)
     A = _reconstruct(f)
-    residual = np.abs(values - _pair(kind, A, probes))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails below
+        residual = np.abs(values - _pair(kind, A, probes))
     # divided, since tol * max(1, |f(B)|) overflows for tol near the largest float
     if not np.all(residual / np.maximum(1.0, np.abs(values)) <= tol):
         raise ContractViolation(

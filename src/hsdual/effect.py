@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .duality import _STACK_ENTRIES
-from .linalg import DEFAULT_TOL, approx_eq, hermitian_part, identity, zeros
+from .linalg import DEFAULT_TOL, approx_eq, identity, zeros
 from .operators import OperatorKind, loewner_leq, sample, sample_unitary
+from .operators import _projection_draws, _projections, _unitary_from
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,16 @@ class StackedOps:
     orthosupplements.  Case by case they must agree with the instance's
     per-element ``ovee``, ``eq`` and ``orth``, and like them be pure; they
     must not write to their arguments, which may be read-only views.
+
+    ``sample``, if given, draws a whole pool: ``sample(seeds)`` takes a
+    sequence of b integer seeds and returns the (b, n, n) stack whose
+    element i is bit for bit the instance's ``sampler(seeds[i])``.
     """
 
     ovee: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     eq: Callable[[np.ndarray, np.ndarray], np.ndarray]
     orth: Callable[[np.ndarray], np.ndarray]
+    sample: Optional[Callable[[Sequence[int]], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -63,11 +69,13 @@ class EffectInstance:
 
     ``stacked``, if given, holds the same three operations on stacks of
     matrix elements (see ``StackedOps``), and a sampled ``law_suite`` then
-    checks the effect-algebra laws with them, a stack of cases per call.
-    Whoever replaces ``ovee``, ``eq`` or ``orth`` on an instance that has
-    ``stacked`` (say with ``dataclasses.replace``) must replace ``stacked``
-    too, or set it to None; otherwise the sampled laws never call the new
-    operation.
+    checks the effect-algebra laws with them, a stack of cases per call;
+    if ``stacked.sample`` is set, it draws the sampled pool as one stack.
+    Whoever replaces ``ovee``, ``eq``, ``orth`` or ``sampler`` on an
+    instance that has ``stacked`` (say with ``dataclasses.replace``) must
+    replace ``stacked`` too, or set it to None; otherwise the sampled laws
+    never call the new operation, or check a pool the new sampler did not
+    draw.
     """
 
     name: str
@@ -206,8 +214,12 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     must be at least 1 (ValueError otherwise).
 
     Each operation is written once, on stacks, as the instance's
-    ``stacked``; the per-element ``ovee``, ``eq`` and ``orth`` apply it to
-    one-element stacks, so both compute the same values.
+    ``stacked``; the per-element ``ovee``, ``eq``, ``orth`` and ``sampler``
+    apply it to one-element stacks, so both compute the same values.
+    Sampling keeps one generator per seed, and draws with it what
+    ``sample(PROJECTION, dim, seed)`` draws for an odd seed (so the two
+    agree bit for bit) and a column mask of a fixed basis for an even seed;
+    the QRs, products and Hermitian parts of a pool then run on stacks.
     """
     if dim < 1:
         raise ValueError("projection instances need dim >= 1")
@@ -220,23 +232,33 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     def max_norms(X: np.ndarray) -> np.ndarray:
         return np.abs(X).max(axis=(1, 2))
 
+    def sample_pool(seeds: Sequence[int]) -> np.ndarray:
+        bases = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+        masks = np.empty((len(seeds), dim), dtype=bool)
+        odd, gaussians = [], []
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            if seed % 2 == 0:
+                bases[i] = shared_basis
+                masks[i] = rng.integers(0, 2, size=dim) == 1
+            else:
+                G, masks[i] = _projection_draws(rng, dim)
+                odd.append(i)
+                gaussians.append(G)
+        if odd:
+            bases[odd] = _unitary_from(np.stack(gaussians))
+        return _projections(bases, masks)
+
     stacked = StackedOps(
         ovee=lambda P, Q: (P + Q, max_norms(P @ Q) <= tol),
         eq=lambda P, Q: max_norms(P - Q) <= tol,
         orth=lambda P: one - P,
+        sample=sample_pool,
     )
 
     def ovee(P: np.ndarray, Q: np.ndarray) -> Optional[np.ndarray]:
         S, defined = stacked.ovee(np.asarray(P)[None], np.asarray(Q)[None])
         return S[0] if defined[0] else None
-
-    def sampler(seed: int) -> np.ndarray:
-        if seed % 2 == 0:
-            rng = np.random.default_rng(seed)
-            mask = rng.integers(0, 2, size=dim) == 1
-            cols = shared_basis[:, mask]
-            return hermitian_part(cols @ cols.conj().T)
-        return sample(OperatorKind.PROJECTION, dim, seed)
 
     return EffectInstance(
         name=f"projections-{dim}",
@@ -245,7 +267,7 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
         ovee=ovee,
         orth=lambda P: stacked.orth(np.asarray(P)[None])[0],
         eq=lambda P, Q: bool(stacked.eq(np.asarray(P)[None], np.asarray(Q)[None])[0]),
-        sampler=sampler,
+        sampler=lambda seed: sample_pool([seed])[0],
         describe=lambda P: np.array2string(np.asarray(P), precision=4, suppress_small=True),
         stacked=stacked,
     )
@@ -312,11 +334,18 @@ def checks_exhaustively(inst: EffectInstance) -> bool:
     return inst.universe is not None and len(inst.universe) <= _EXHAUSTIVE_CAP
 
 
-def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[list, bool]:
+def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[Sequence, bool]:
+    """The pool and whether it is the whole carrier; a pool drawn by
+    ``stacked.sample`` is a read-only (samples + 2, n, n) stack."""
     if checks_exhaustively(inst):
         return list(inst.universe), True
     if samples < 1:
         raise ValueError(f"a sampled law check needs samples >= 1, got {samples}")
+    if inst.stacked is not None and inst.stacked.sample is not None:
+        drawn = inst.stacked.sample(range(seed, seed + samples))
+        pool = np.concatenate((drawn, [inst.zero, inst.one]))
+        pool.setflags(write=False)
+        return pool, False
     if inst.sampler is None:
         if inst.universe is not None:
             return list(inst.universe)[:samples], False
@@ -414,7 +443,11 @@ def law_suite(
     ``checked`` still counts all n³ of them, or gives the 1-based x-major
     position of the first failing triple.
 
-    A sampled pool of an instance with ``stacked`` is stacked once, with its
+    A sampled pool holds ``sampler(seed + i)`` for i < samples, then zero
+    and one.  ``stacked.sample`` draws it as one stack when the instance has
+    it (for projections: one QR and one product per column pattern for the
+    whole pool), and ``sampler`` element by element otherwise.  On an
+    instance with ``stacked``, the pool is stacked with its
     orthosupplements, and each of the six effect-algebra laws tests its rows
     with ``stacked``, a chunk of at most 2^16 matrix entries per operand at
     a time, so the memory beyond those two stacks stays bounded for any
@@ -440,7 +473,7 @@ def law_suite(
         pairs = draws[: 2 * samples].reshape(-1, 2)
         triples = draws[2 * samples :].reshape(-1, 3)
 
-    elements = pool + [_MISSING] * n
+    elements = [*pool, *[_MISSING] * n]
 
     def element(i: int):
         """pool[i], or orth(pool[i - n]) computed once per run."""
@@ -588,7 +621,7 @@ def law_suite(
     if exhaustive or inst.stacked is None:
         chunk, tests = _STACK_ENTRIES, {}
     else:
-        stack = np.stack(pool)
+        stack = np.asarray(pool)
         stack.setflags(write=False)
         stack = np.concatenate((stack, inst.stacked.orth(stack)))
         stack.setflags(write=False)

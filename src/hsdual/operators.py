@@ -187,24 +187,50 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 # integer, so identical (kind, dim, seed) calls are bit-identical.
 
 
+def _standard_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
 def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return G / np.sqrt(2.0 * dim)
+    return _standard_gaussian(rng, dim) / np.sqrt(2.0 * dim)
 
 
-def _unitary_from(rng: np.random.Generator, dim: int) -> np.ndarray:
-    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    r = np.diag(R)
-    if np.abs(r).min() < 1e-12:
+def _unitary_from(G: np.ndarray) -> np.ndarray:
+    """The unitaries of a (b, n, n) stack of complex Gaussians: each one's QR
+    Q with R's diagonal made positive.  ValueError if any column of any
+    Gaussian is (numerically) dependent on the ones before it."""
+    Q, R = np.linalg.qr(G)
+    r = np.diagonal(R, axis1=1, axis2=2)
+    if (np.abs(r) < 1e-12).any():
         raise ValueError("QR hit a (numerically) dependent column")
-    return Q * (r / np.abs(r))
+    return Q * (r / np.abs(r))[:, None, :]
+
+
+def _projection_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """What a projection sample draws from its generator: a complex Gaussian,
+    then a rank, returned as the mask of the basis columns kept."""
+    G = _standard_gaussian(rng, dim)
+    return G, np.arange(dim) < rng.integers(0, dim + 1)
+
+
+def _projections(bases: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The (b, n, n) projections C C^dagger, where C holds the columns of the
+    orthonormal bases[i] that masks[i] keeps.  Elements that keep the same
+    columns share one stacked product; a product over all columns with the
+    rest zeroed would change the last bits."""
+    P = np.empty(bases.shape, dtype=np.complex128)
+    for mask in np.unique(masks, axis=0):
+        at = np.flatnonzero((masks == mask).all(axis=1))
+        C = bases[at][:, :, mask]
+        P[at] = C @ C.conj().transpose(0, 2, 1)
+    return hermitian_part(P)
 
 
 def sample_unitary(dim: int, seed: int) -> np.ndarray:
     """Seed-deterministic unitary: the Q of a complex Gaussian's QR with R's
     diagonal made positive, which is unique and so equals Gram-Schmidt on the
     Gaussian's columns.  Seeds replay within one version and NumPy build."""
-    return _unitary_from(np.random.default_rng(seed), dim)
+    return _unitary_from(_standard_gaussian(np.random.default_rng(seed), dim)[None])[0]
 
 
 def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
@@ -240,10 +266,8 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
             return (H - lo * identity(dim)) / (hi - lo)
         return float(np.clip(hi, 0.0, 1.0)) * identity(dim)
     if kind == OperatorKind.PROJECTION:
-        U = _unitary_from(rng, dim)
-        rank = int(rng.integers(0, dim + 1))
-        cols = U[:, :rank]
-        return hermitian_part(cols @ cols.conj().T)
+        G, mask = _projection_draws(rng, dim)
+        return _projections(_unitary_from(G[None]), mask[None])[0]
     raise ValueError(f"unknown operator kind: {kind!r}")
 
 

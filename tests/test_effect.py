@@ -7,12 +7,13 @@ suite actually finds counterexamples instead of rubber-stamping.
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsdual import effect
+from hsdual import effect, operators
 from hsdual.effect import (
     EffectInstance,
     StackedOps,
@@ -568,3 +569,67 @@ def test_stacked_operations_that_disagree_are_refused():
     never_equal = replace(good.stacked, eq=lambda X, Y: np.zeros(len(X), dtype=bool))
     with pytest.raises(ValueError, match="zero-unit case"):
         law_suite(replace(good, stacked=never_equal), samples=5)
+
+
+# --- drawing a sampled pool as one stack ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    dim=st.integers(1, 6),
+    b=st.sampled_from([1, 2, 50]),
+    start=st.integers(0, 2**16) | st.integers(2**64 - 60, 2**64 + 60),
+)
+def test_a_projection_pool_drawn_as_one_stack_is_the_per_seed_samples(dim, b, start):
+    inst = make_projections(dim)
+    pool = inst.stacked.sample(range(start, start + b))
+    assert pool.shape == (b, dim, dim)
+    for i, P in enumerate(pool):
+        seed = start + i
+        assert np.array_equal(P.view(np.uint64), inst.sampler(seed).view(np.uint64))
+        if seed % 2:
+            single = sample(OperatorKind.PROJECTION, dim, seed)
+            assert np.array_equal(P.view(np.uint64), single.view(np.uint64))
+
+
+def _plant_dependent_column(monkeypatch, call: int) -> None:
+    """Give the call-th complex Gaussian drawn from now on (0-based) a second
+    column that is twice its first."""
+    gaussian = operators._standard_gaussian
+    calls = count()
+
+    def planted(rng, dim):
+        G = gaussian(rng, dim)
+        if next(calls) == call:
+            G[:, 1] = 2 * G[:, 0]
+        return G
+
+    monkeypatch.setattr(operators, "_standard_gaussian", planted)
+
+
+@pytest.mark.parametrize("call", [0, 13, 24])
+def test_a_dependent_qr_column_anywhere_in_a_pool_is_refused_like_one_sample(monkeypatch, call):
+    inst = make_projections(3)
+    with monkeypatch.context() as m:
+        _plant_dependent_column(m, 0)
+        with pytest.raises(ValueError) as single:
+            sample(OperatorKind.PROJECTION, 3, 1)
+    # range(1, 51) draws 25 Gaussians, one per odd seed
+    _plant_dependent_column(monkeypatch, call)
+    with pytest.raises(ValueError) as pooled:
+        inst.stacked.sample(range(1, 51))
+    assert "dependent column" in str(single.value)
+    assert str(pooled.value) == str(single.value)
+
+
+def test_law_suite_draws_a_sampled_pool_with_one_stacked_call():
+    good = make_projections(2)
+    calls = []
+
+    def sample_pool(seeds):
+        calls.append(seeds)
+        return good.stacked.sample(seeds)
+
+    inst = replace(good, stacked=replace(good.stacked, sample=sample_pool))
+    assert law_suite(inst, samples=30, seed=5) == law_suite(good, samples=30, seed=5)
+    assert calls == [range(5, 35)]

@@ -10,10 +10,12 @@ the Hermiticity residual once, inside hermitian_eig.
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from hsdual import linalg
 from hsdual.cli import main
+from hsdual.duality import ContractViolation, Functional, hs_forward, hs_inverse
 from hsdual.free import s_iso_pos_dm
 from hsdual.linalg import LinalgError, approx_eq
 from hsdual.operators import OperatorKind, classify, in_kind, loewner_leq
@@ -60,6 +62,24 @@ def test_s_iso_pos_dm_refuses_a_trace_beyond_the_float_range():
 
 def test_approx_eq_reads_an_overflowing_difference_as_unequal():
     assert not approx_eq(mat([[-1e308, 0], [0, 0]]), mat([[1e308, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize(
+    "kind", [OperatorKind.BOUNDED, OperatorKind.SELF_ADJOINT, OperatorKind.POSITIVE]
+)
+def test_hs_inverse_names_a_spot_value_beyond_the_float_range(kind):
+    # tr(A B) is beyond the float range on the spot probes
+    with pytest.raises(ContractViolation, match="non-finite value"):
+        hs_inverse(kind, hs_forward(kind, HUGE))
+
+
+def test_hs_inverse_refuses_a_reconstruction_that_overflows():
+    # finite values, but f(e_0) + f(e_1) overflows where the off-diagonal entry is read off
+    def f(B):
+        return 1e308 if np.count_nonzero(B) == 1 else complex(np.trace(B))
+
+    with pytest.raises(ContractViolation, match="disagrees"):
+        hs_inverse(OperatorKind.SELF_ADJOINT, Functional(OperatorKind.SELF_ADJOINT, 2, f))
 
 
 def test_cli_classifies_a_huge_diagonal_quietly(capsys, tmp_path):
