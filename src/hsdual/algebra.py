@@ -4,9 +4,9 @@ A formal sum is a finite map from opaque element keys to nonzero coefficients
 drawn from one of four semirings: nonnegative rationals, rationals, Gaussian
 (complex) rationals, and the rational unit interval.  Sums over the unit
 interval may additionally carry a distribution flag, meaning the coefficients
-add up to exactly 1.  All arithmetic is exact -- floats never enter this
-module -- so the functor/monad laws hold on the nose and are tested by
-literal equality.
+add up to exactly 1.  All arithmetic on sums is exact -- floats enter only
+when a carrier interprets one -- so the functor/monad laws hold on the nose
+and are tested by literal equality.
 
 The monad structure is the usual one for weighted finite support: ``unit``
 is a single term with coefficient one, ``fmap`` pushes keys forward (merging
@@ -20,7 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from itertools import chain, combinations, product
+from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "Semiring",
@@ -278,130 +281,92 @@ def flatten(ss: FormalSum) -> FormalSum:
 
 @dataclass(frozen=True)
 class AlgebraCarrier:
-    """A place where formal sums can be evaluated.
+    """A place where formal sums are evaluated: an algebra of the monad.
 
-    ``kind`` is "module" (interprets any sum over ``semiring``) or "convex"
-    (interprets distributions only).  ``resolve`` maps keys to carrier
-    elements; ``add``/``smul`` are the carrier's own operations, with smul
-    taking the coefficient as float/complex.
+    ``resolve`` maps a key to its carrier element.  A carrier with a
+    ``zero`` is a module: it interprets every sum over ``semiring``, and the
+    empty sum gives ``zero``.  A carrier with ``zero=None`` is a convex set:
+    it interprets distributions only, which are never empty.
     """
 
-    kind: str
     semiring: Semiring
     resolve: Callable[[Any], Any]
-    add: Callable[[Any, Any], Any]
-    smul: Callable[[Any, Any], Any]
     zero: Any = None
-
-    def __post_init__(self):
-        if self.kind not in ("module", "convex"):
-            raise ValueError(f"unknown carrier kind {self.kind!r}")
-
-
-def _numeric(coeff):
-    return complex(coeff) if isinstance(coeff, QC) else coeff
 
 
 def interpret(carrier: AlgebraCarrier, s: FormalSum):
     """Evaluate a formal sum in the carrier.
 
-    Module carriers require a matching semiring; convex carriers require the
-    distribution flag (NotDistribution otherwise) and compute the actual
-    convex combination.
+    A module carrier requires a matching semiring (SemiringMismatch
+    otherwise); a convex carrier requires the distribution flag
+    (NotDistribution otherwise).  Each coefficient becomes a Python number
+    (``complex`` for a QC, ``float`` otherwise) that multiplies its resolved
+    key, and the terms are added with ``+``, after the zero for a module.
     """
-    if carrier.kind == "module":
+    if carrier.zero is not None:
         if s.semiring is not carrier.semiring:
             raise SemiringMismatch(
                 f"sum over {s.semiring.value} fed to a {carrier.semiring.value} module"
             )
     elif not s.distribution:
         raise NotDistribution("convex carriers interpret distributions only")
-    acc = carrier.zero if carrier.kind == "module" else None
+    acc = carrier.zero
     for key, coeff in s.terms:
-        term = carrier.smul(_numeric(coeff), carrier.resolve(key))
-        acc = term if acc is None else carrier.add(acc, term)
+        term = (complex(coeff) if isinstance(coeff, QC) else float(coeff)) * carrier.resolve(key)
+        acc = term if acc is None else acc + term
     return acc
 
 
 def matrix_module_carrier(dim: int, env: dict, semiring: Semiring = Semiring.RATIONAL) -> AlgebraCarrier:
     """Square matrices of a fixed dimension as a module over the semiring."""
-    import numpy as np
-
-    zero = np.zeros((dim, dim), dtype=np.complex128)
-    return AlgebraCarrier(
-        kind="module",
-        semiring=semiring,
-        resolve=lambda key: env[key],
-        add=lambda x, y: x + y,
-        smul=lambda c, x: c * x,
-        zero=zero,
-    )
+    return AlgebraCarrier(semiring, env.__getitem__, np.zeros((dim, dim), dtype=np.complex128))
 
 
 def convex_state_carrier(env: dict) -> AlgebraCarrier:
     """Named states (matrices, vectors, scalars) under convex combination."""
-    return AlgebraCarrier(
-        kind="convex",
-        semiring=Semiring.UNIT_INTERVAL,
-        resolve=lambda key: env[key],
-        add=lambda x, y: x + y,
-        smul=lambda c, x: float(c) * x,
-    )
+    return AlgebraCarrier(Semiring.UNIT_INTERVAL, env.__getitem__)
 
 
 def unit_interval_carrier() -> AlgebraCarrier:
     """The unit interval itself, keyed by exact rationals, as a convex set."""
-    return AlgebraCarrier(
-        kind="convex",
-        semiring=Semiring.UNIT_INTERVAL,
-        resolve=lambda key: float(key),
-        add=lambda x, y: x + y,
-        smul=lambda c, x: float(c) * x,
-    )
+    return AlgebraCarrier(Semiring.UNIT_INTERVAL, float)
 
 
 # --- exhaustive law checking ------------------------------------------------
 
 _GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
-_GRID_COMPLEX = tuple(QC(Fraction(g), Fraction(0)) for g in _GRID) + (QC(Fraction(0), Fraction(1)),)
-_GRID_UNIT = (Fraction(0), Fraction(1, 2), Fraction(1))
+_GRIDS = {  # the two rational semirings share _GRID
+    Semiring.COMPLEX_RATIONAL: tuple(QC(g, Fraction(0)) for g in _GRID) + (QC(Fraction(0), Fraction(1)),),
+    Semiring.UNIT_INTERVAL: (Fraction(0), Fraction(1, 2), Fraction(1)),
+}
 
 
 def _grid_for(semiring: Semiring):
-    if semiring is Semiring.COMPLEX_RATIONAL:
-        return _GRID_COMPLEX
-    if semiring is Semiring.UNIT_INTERVAL:
-        return _GRID_UNIT
-    return _GRID
+    return _GRIDS.get(semiring, _GRID)
 
 
-def _enumerate_sums(semiring: Semiring, carrier: tuple, distribution: bool) -> list[FormalSum]:
-    from itertools import product
-
-    grid = _grid_for(semiring)
-    sums = []
-    for coeffs in product(grid, repeat=len(carrier)):
-        if distribution and sum(coeffs, Fraction(0)) != 1:
-            continue
-        sums.append(formal_sum(semiring, zip(carrier, coeffs), distribution))
-    return sums
+def _grid_sums(
+    semiring: Semiring, support: tuple, distribution: bool, full_support: bool = False
+) -> Iterator[FormalSum]:
+    """The sum over ``support`` of each coefficient vector from the grid, in
+    ``product`` order and repeats included; for a distribution, only the
+    vectors that add up to 1, and with ``full_support``, only those with no
+    zero entry."""
+    grid = [g for g in _grid_for(semiring) if g or not full_support]
+    for coeffs in product(grid, repeat=len(support)):
+        if not distribution or sum(coeffs, Fraction(0)) == 1:
+            yield formal_sum(semiring, zip(support, coeffs), distribution)
 
 
 def _enumerate_layered(semiring: Semiring, base: list, distribution: bool, cap: int) -> list[FormalSum]:
-    """Sums over ``base`` with grid coefficients and support <= 2, capped."""
-    from itertools import combinations, product
-
-    grid = _grid_for(semiring)
+    """The first ``cap`` distinct grid sums over one or two distinct elements
+    of ``base``: every one-term sum, then the pairs in ``combinations`` order."""
     base = list(dict.fromkeys(base))
     seen: dict[FormalSum, None] = {}
-    supports = [(x,) for x in base] + list(combinations(base, 2))
-    for support in supports:
-        for coeffs in product(grid, repeat=len(support)):
-            if distribution and sum(coeffs, Fraction(0)) != 1:
-                continue
-            if len(support) == 2 and not all(coeffs):
-                continue  # a zero coefficient repeats a one-term sum from above
-            seen.setdefault(formal_sum(semiring, zip(support, coeffs), distribution))
+    for support in chain(((x,) for x in base), combinations(base, 2)):
+        # a pair with a zero coefficient repeats a one-term sum from above
+        for s in _grid_sums(semiring, support, distribution, full_support=len(support) == 2):
+            seen.setdefault(s)
             if len(seen) >= cap:
                 return list(seen)
     return list(seen)
@@ -481,7 +446,7 @@ def _monad_laws_for(semiring: Semiring, distribution: bool) -> tuple[int, int, l
 
     for size in range(1, MONAD_MAX_CARRIER + 1):
         carrier = tuple("abc"[:size])
-        level1 = _enumerate_sums(semiring, carrier, distribution)
+        level1 = list(_grid_sums(semiring, carrier, distribution))
 
         for s in level1:
             if s not in unit_laws:

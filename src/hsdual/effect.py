@@ -347,9 +347,9 @@ def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[Sequen
         pool.setflags(write=False)
         return pool, False
     if inst.sampler is None:
-        if inst.universe is not None:
-            return list(inst.universe)[:samples], False
-        raise ValueError(f"instance {inst.name} has neither sampler nor universe")
+        raise ValueError(
+            f"instance {inst.name} has no sampler and no universe of at most {_EXHAUSTIVE_CAP} elements"
+        )
     pool = [inst.sampler(seed + i) for i in range(samples)]
     pool.append(inst.zero)
     pool.append(inst.one)
@@ -424,10 +424,11 @@ def law_suite(
 
     Small enumerable carriers are checked exhaustively over all pairs and
     triples; otherwise ``samples`` elements are drawn from the instance
-    sampler (ValueError unless samples >= 1).  Each law reports how many
-    instances were checked and the first counterexample found, if any.
-    Carrier equality is the instance's own ``eq``; ``tol`` is recorded in
-    the report for downstream thresholds.
+    sampler (ValueError unless samples >= 1 and the instance has a
+    sampler).  Each law reports how many instances were checked and the
+    first counterexample found, if any.  Carrier equality is the
+    instance's own ``eq``; ``tol`` is recorded in the report for downstream
+    thresholds.
 
     Every law runs over rows of pool indices: singles, pairs, triples, or
     the complement rows (x, orth(x)).  Its cases are the rows in order, and

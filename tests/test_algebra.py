@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -475,3 +476,30 @@ def test_pickled_formal_sum_keys_a_dict_in_another_process():
     # from this process too
     assert len(salts) == 2
 
+
+# --- the carrier as (semiring, resolve, zero) -------------------------------------
+
+
+def test_a_carrier_is_a_semiring_a_resolve_map_and_a_zero():
+    assert [f.name for f in fields(algebra.AlgebraCarrier)] == ["semiring", "resolve", "zero"]
+
+
+@pytest.mark.parametrize("semiring", [R, NN, CX])
+def test_interpret_in_the_matrix_module_gives_complex_matrices(semiring):
+    # a Fraction times an array is an object array; interpret multiplies by float(c)
+    env = {"a": identity(2), "b": mat([[0, 1], [1, 0]])}
+    s = formal_sum(semiring, [("a", Fraction(1, 3)), ("b", 2)])
+    out = interpret(matrix_module_carrier(2, env, semiring), s)
+    assert out.dtype == np.complex128
+    assert approx_eq(out, mat([[1 / 3, 2], [2, 1 / 3]]), 1e-15)
+
+
+def test_a_carrier_with_a_zero_is_a_module_and_one_without_is_convex():
+    module = algebra.AlgebraCarrier(R, float, 0.0)
+    assert interpret(module, formal_sum(R, [])) == 0.0
+    assert interpret(module, formal_sum(R, [(Fraction(1, 2), 2), (Fraction(1, 4), -4)])) == 0.0
+    convex = algebra.AlgebraCarrier(UI, float)
+    with pytest.raises(NotDistribution):
+        interpret(convex, formal_sum(UI, [(Fraction(1, 2), Fraction(1, 2))]))
+    half = formal_sum(UI, [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))], distribution=True)
+    assert interpret(convex, half) == 0.5

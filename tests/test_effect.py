@@ -633,3 +633,26 @@ def test_law_suite_draws_a_sampled_pool_with_one_stacked_call():
     inst = replace(good, stacked=replace(good.stacked, sample=sample_pool))
     assert law_suite(inst, samples=30, seed=5) == law_suite(good, samples=30, seed=5)
     assert calls == [range(5, 35)]
+
+
+def test_a_sampled_unit_interval_draws_its_pool_from_the_sampler():
+    # denominators up to 12 give more than 40 elements, so the pool is sampled
+    good = make_unit_interval(12)
+    assert not checks_exhaustively(good)
+    drawn = []
+
+    def sampler(seed):
+        drawn.append(seed)
+        return good.sampler(seed)
+
+    report = law_suite(replace(good, sampler=sampler), samples=50)
+    assert report.all_pass
+    assert drawn == list(range(50))
+    assert report.entry("zero-unit").checked == 52  # the 50 draws, zero and one
+    assert report == law_suite(good, samples=50)
+
+
+def test_a_sampled_law_check_refuses_an_instance_without_a_sampler():
+    # a universe too large to check exhaustively is not a sampler
+    with pytest.raises(ValueError, match="no sampler"):
+        law_suite(replace(make_unit_interval(12), sampler=None), samples=5)

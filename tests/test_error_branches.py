@@ -1,0 +1,63 @@
+"""Refusals of the public entry points that the module tests do not reach.
+
+Each case feeds one malformed argument and checks the documented exception
+(or, for the CLI, exit code 2 and its message).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from hsdual.cli import main
+from hsdual.duality import Functional, KindMismatch, hs_inverse, naturality_check
+from hsdual.free import WeightedPoint, s_iso_dm_pos
+from hsdual.linalg import DimensionMismatch, as_matrix, identity
+from hsdual.operators import OperatorKind
+from hsdual.wp import InvalidChannel, mixture_channel, super_channel, unitary_channel
+
+
+def test_super_channel_refuses_an_infinite_entry():
+    M = np.eye(4, dtype=np.complex128)
+    M[1, 2] = np.inf
+    with pytest.raises(InvalidChannel, match="finite"):
+        super_channel(2, 2, M)
+
+
+def test_hs_inverse_refuses_a_functional_of_dimension_zero():
+    f = Functional(OperatorKind.BOUNDED, 0, lambda B: 0.0)
+    with pytest.raises(KindMismatch, match="positive dimension"):
+        hs_inverse(OperatorKind.BOUNDED, f)
+
+
+def test_naturality_check_refuses_mismatched_shapes():
+    with pytest.raises(DimensionMismatch):
+        naturality_check(identity(2), identity(3), identity(2))
+
+
+def test_s_iso_dm_pos_refuses_a_point_of_another_dimension():
+    u = WeightedPoint(1.0, identity(3) / 3)
+    with pytest.raises(ValueError, match="point dimension 3 != 2"):
+        s_iso_dm_pos(u, 2)
+
+
+def test_as_matrix_refuses_an_empty_matrix():
+    with pytest.raises(DimensionMismatch, match="dimension >= 1"):
+        as_matrix(np.zeros((0, 0)))
+
+
+def test_mixture_refuses_a_weight_with_a_malformed_exponent():
+    parts = [unitary_channel(identity(2)), unitary_channel(np.array([[0, 1], [1, 0]]))]
+    with pytest.raises(InvalidChannel, match="is not a number"):
+        mixture_channel(["1ex", "0"], parts)
+
+
+def test_wp_cli_refuses_an_unknown_channel_type(capsys, tmp_path):
+    channel = tmp_path / "bogus.json"
+    channel.write_text(json.dumps({"type": "bogus"}))
+    effect = tmp_path / "p0.json"
+    effect.write_text(json.dumps({"dim": 2, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    code = main(["wp", "--channel", str(channel), "--effect", str(effect)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unknown channel type 'bogus'" in captured.err
