@@ -37,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, dagger, hermitian_part
+from .linalg import _STACK_ENTRIES, DEFAULT_TOL, DimensionMismatch
+from .linalg import as_matrix, dagger, hermitian_part
 from .operators import OperatorKind, in_kind
 
 
@@ -60,13 +61,7 @@ class NotInKind(DualityError):
 
 #: Kinds that take part in the duality (projections do not get their own
 #: pairing; they embed into effects).
-DUAL_KINDS = (
-    OperatorKind.BOUNDED,
-    OperatorKind.SELF_ADJOINT,
-    OperatorKind.POSITIVE,
-    OperatorKind.EFFECT,
-    OperatorKind.DENSITY,
-)
+DUAL_KINDS = tuple(k for k in OperatorKind if k != OperatorKind.PROJECTION)
 
 
 @dataclass(frozen=True)
@@ -147,11 +142,6 @@ def hs_forward(kind: OperatorKind, A: np.ndarray, tol: float = DEFAULT_TOL) -> F
 
 
 # --- reconstruction ---------------------------------------------------------
-
-
-#: Most matrix entries in one reconstruction stack (1 MiB of complex128), so
-#: that memory grows as dim^2, not dim^4; up to dim 16 the stack is whole.
-_STACK_ENTRIES = 1 << 16
 
 
 def _reconstruct(f: Functional) -> np.ndarray:
@@ -326,15 +316,18 @@ def naturality_check(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
     Pairing tr(. (.)^dagger): moving C across the pairing must not change the
     value, i.e. tr(C^dagger A C B^dagger) = tr(A (C B C^dagger)^dagger).
     Returns the absolute difference; the caller compares against a tolerance.
+    Where a product or trace overflows, the residual is inf or NaN, which
+    fails every tolerance.
     """
     C = as_matrix(C)
     A = as_matrix(A)
     B = as_matrix(B)
     if not (C.shape == A.shape == B.shape):
         raise DimensionMismatch("naturality_check requires equal dimensions")
-    lhs = _pair(OperatorKind.BOUNDED, dagger(C) @ A @ C, B)
-    rhs = _pair(OperatorKind.BOUNDED, A, C @ B @ dagger(C))
-    return abs(lhs - rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _pair(OperatorKind.BOUNDED, dagger(C) @ A @ C, B)
+        rhs = _pair(OperatorKind.BOUNDED, A, C @ B @ dagger(C))
+        return abs(lhs - rhs)
 
 
 __all__ = [

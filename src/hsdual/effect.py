@@ -24,10 +24,8 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .duality import _STACK_ENTRIES
-from .linalg import DEFAULT_TOL, approx_eq, identity, zeros
-from .operators import OperatorKind, loewner_leq, sample, sample_unitary
-from .operators import _projection_draws, _projections, _unitary_from
+from .linalg import _STACK_ENTRIES, DEFAULT_TOL, approx_eq, identity, zeros
+from .operators import OperatorKind, _projection_pool, loewner_leq, sample, sample_unitary
 
 
 @dataclass(frozen=True)
@@ -170,6 +168,10 @@ def make_powerset(size: int) -> EffectInstance:
     )
 
 
+def _describe_matrix(A) -> str:
+    return np.array2string(np.asarray(A), precision=4, suppress_small=True)
+
+
 def make_effects(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     """Effect operators on a dim-dimensional space: 0 <= A <= I.
 
@@ -202,7 +204,7 @@ def make_effects(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
         eq=lambda A, B: approx_eq(A, B, tol),
         scalar_mul=lambda r, A: float(r) * A,
         sampler=sampler,
-        describe=lambda A: np.array2string(np.asarray(A), precision=4, suppress_small=True),
+        describe=_describe_matrix,
     )
 
 
@@ -216,10 +218,10 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     Each operation is written once, on stacks, as the instance's
     ``stacked``; the per-element ``ovee``, ``eq``, ``orth`` and ``sampler``
     apply it to one-element stacks, so both compute the same values.
-    Sampling keeps one generator per seed, and draws with it what
-    ``sample(PROJECTION, dim, seed)`` draws for an odd seed (so the two
-    agree bit for bit) and a column mask of a fixed basis for an even seed;
-    the QRs, products and Hermitian parts of a pool then run on stacks.
+    The pool is drawn by ``operators._projection_pool``, the one place that
+    draws projections, with a fixed shared basis: an odd seed gives
+    ``sample(PROJECTION, dim, seed)`` bit for bit, and an even seed a column
+    subset of the shared basis.
     """
     if dim < 1:
         raise ValueError("projection instances need dim >= 1")
@@ -232,28 +234,11 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     def max_norms(X: np.ndarray) -> np.ndarray:
         return np.abs(X).max(axis=(1, 2))
 
-    def sample_pool(seeds: Sequence[int]) -> np.ndarray:
-        bases = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-        masks = np.empty((len(seeds), dim), dtype=bool)
-        odd, gaussians = [], []
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            if seed % 2 == 0:
-                bases[i] = shared_basis
-                masks[i] = rng.integers(0, 2, size=dim) == 1
-            else:
-                G, masks[i] = _projection_draws(rng, dim)
-                odd.append(i)
-                gaussians.append(G)
-        if odd:
-            bases[odd] = _unitary_from(np.stack(gaussians))
-        return _projections(bases, masks)
-
     stacked = StackedOps(
         ovee=lambda P, Q: (P + Q, max_norms(P @ Q) <= tol),
         eq=lambda P, Q: max_norms(P - Q) <= tol,
         orth=lambda P: one - P,
-        sample=sample_pool,
+        sample=lambda seeds: _projection_pool(dim, seeds, shared_basis),
     )
 
     def ovee(P: np.ndarray, Q: np.ndarray) -> Optional[np.ndarray]:
@@ -267,8 +252,8 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
         ovee=ovee,
         orth=lambda P: stacked.orth(np.asarray(P)[None])[0],
         eq=lambda P, Q: bool(stacked.eq(np.asarray(P)[None], np.asarray(Q)[None])[0]),
-        sampler=lambda seed: sample_pool([seed])[0],
-        describe=lambda P: np.array2string(np.asarray(P), precision=4, suppress_small=True),
+        sampler=lambda seed: stacked.sample([seed])[0],
+        describe=_describe_matrix,
         stacked=stacked,
     )
 

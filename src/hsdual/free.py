@@ -20,7 +20,9 @@ all reals; real pairs give the complex numbers).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -138,14 +140,25 @@ class Difference:
     neg: Any
 
 
+def _half(x):
+    """x / 2, exact for integers as well."""
+    return Fraction(x, 2) if isinstance(x, numbers.Integral) else x / 2
+
+
 def r_equiv(p: Difference, q: Difference, tol: float = DEFAULT_TOL) -> bool:
     """Identification of differences: p1 + n2 = p2 + n1 (cancellativity
-    makes this cross-sum form equivalent to the general one)."""
-    a = p.pos + q.neg
-    b = q.pos + p.neg
+    makes this cross-sum form equivalent to the general one).
+
+    The cross sums are formed halved, p1/2 + n2/2 and p2/2 + n1/2, which
+    finite entries cannot overflow, and judged at tol/2, as loewner_leq
+    does; halving is exact for normal floats, so the verdict is that of the
+    full sums at tol.
+    """
+    a = _half(p.pos) + _half(q.neg)
+    b = _half(q.pos) + _half(p.neg)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return approx_eq(np.asarray(a), np.asarray(b), tol)
-    return abs(a - b) <= tol
+        return approx_eq(np.asarray(a), np.asarray(b), tol / 2)
+    return abs(a - b) <= tol / 2
 
 
 def r_add(p: Difference, q: Difference) -> Difference:
@@ -168,7 +181,7 @@ def _check_positive(x, tol: float) -> None:
         if not in_kind(x, OperatorKind.POSITIVE, tol):
             raise NotPositive("difference components must be positive")
     else:
-        if not (isinstance(x, (int, float)) and x >= -tol):
+        if not (isinstance(x, numbers.Real) and x >= -tol):
             raise NotPositive(f"scalar component {x!r} is not nonnegative")
 
 
@@ -214,7 +227,7 @@ def _check_sa(x, tol: float) -> None:
         if not is_hermitian(x, tol):
             raise NotHermitian("complex-pair components must be self-adjoint")
     else:
-        if isinstance(x, complex) and not abs(x.imag) <= tol:
+        if isinstance(x, numbers.Complex) and not abs(x.imag) <= tol:
             raise NotHermitian(f"scalar component {x!r} is not real")
 
 

@@ -40,6 +40,10 @@ _EIG_FLOOR = float(np.finfo(np.float64).eps)
 
 _MAX_SWEEPS = 100
 
+#: Most matrix entries in one stack of operands (1 MiB of complex128), so
+#: that memory grows as dim^2, not dim^4; up to dim 16 the stack is whole.
+_STACK_ENTRIES = 1 << 16
+
 
 class LinalgError(Exception):
     """Base class for errors raised by the matrix layer."""
@@ -102,12 +106,13 @@ def outer_unit(j: int, k: int, dim: int) -> np.ndarray:
 
 def approx_eq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff the max-norm of A - B is at most tol; a difference that
-    overflows reads inf and fails."""
+    overflows reads inf, or NaN where both hold the same infinity, and
+    fails."""
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return max_norm(A - B) <= tol
 
 
@@ -119,9 +124,9 @@ def hermitian_part(X: np.ndarray) -> np.ndarray:
 
 
 def _hermiticity_residual(A: np.ndarray) -> float:
-    """max|A - A^dagger| over a matrix or a stack; inf, failing every finite
-    tol, where it overflows."""
-    with np.errstate(over="ignore"):
+    """max|A - A^dagger| over a matrix or a stack; inf or NaN, failing every
+    tol, where it overflows or A holds an infinity."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return max_norm(A - A.conj().swapaxes(-1, -2))
 
 

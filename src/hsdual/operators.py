@@ -3,25 +3,29 @@
 A square complex matrix is graded into nested kinds: every matrix is bounded;
 self-adjoint, positive, effect, projection and density operators form
 successively constrained families.  Membership is decided spectrally with
-explicit tolerances, and each kind comes with a seed-deterministic sampler.
-``classify`` reports every kind with its spectral witness; ``in_kind`` answers
-for one kind and computes a spectrum only when that kind has an eigenvalue
-threshold (positive, effect, density).  Both read their thresholds from one
-private owner, so they cannot disagree.  Every spectrum comes from
+explicit tolerances, and each kind comes with a seed-deterministic sampler;
+``_projection_pool`` is the one place that draws projections, for ``sample``
+and for the pools of ``effect.make_projections`` alike.  ``classify`` reports
+every kind with its spectral witness; ``in_kind`` answers for one kind and
+computes a spectrum only when that kind has an eigenvalue threshold (positive,
+effect, density).  Both read their thresholds from one private owner, so they
+cannot disagree.  Every spectrum comes from
 :func:`hsdual.linalg.hermitian_eig`, called with the caller's matrix and tol
 as they are: it owns the Hermiticity check, the symmetrization and the
 convergence target, min(tol, 1e-12) floored at machine epsilon.  Only
 ``pos_neg_split`` rebuilds operators from eigenpairs, so it alone asks for
 eigenvectors; ``classify``, ``in_kind``, ``loewner_leq`` and the effect
-sampler read the spectrum alone (``vectors=False``).  Where a kind check
-needs a spectrum, hermitian_eig's NotHermitian is its self-adjointness
-verdict, so the Hermiticity residual is formed once.
+sampler read the spectrum alone (``vectors=False``).  Where a kind check needs
+a spectrum, hermitian_eig's NotHermitian is its self-adjointness verdict, so
+the Hermiticity residual is formed once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -56,14 +60,7 @@ class OperatorKind(Enum):
 
 
 #: Canonical report order, from weakest to strongest constraint.
-KIND_ORDER = (
-    OperatorKind.BOUNDED,
-    OperatorKind.SELF_ADJOINT,
-    OperatorKind.POSITIVE,
-    OperatorKind.EFFECT,
-    OperatorKind.PROJECTION,
-    OperatorKind.DENSITY,
-)
+KIND_ORDER = tuple(OperatorKind)
 
 
 @dataclass(frozen=True)
@@ -206,18 +203,31 @@ def _unitary_from(G: np.ndarray) -> np.ndarray:
     return Q * (r / np.abs(r))[:, None, :]
 
 
-def _projection_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """What a projection sample draws from its generator: a complex Gaussian,
-    then a rank, returned as the mask of the basis columns kept."""
-    G = _standard_gaussian(rng, dim)
-    return G, np.arange(dim) < rng.integers(0, dim + 1)
+def _projection_pool(dim: int, seeds: Sequence[int], shared_basis=None) -> np.ndarray:
+    """The (b, n, n) projections of ``seeds``, one generator each: the one
+    place that draws projections.
 
-
-def _projections(bases: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The (b, n, n) projections C C^dagger, where C holds the columns of the
-    orthonormal bases[i] that masks[i] keeps.  Elements that keep the same
-    columns share one stacked product; a product over all columns with the
-    rest zeroed would change the last bits."""
+    A generator draws a complex Gaussian and a rank, and keeps that many
+    leading columns of the Gaussian's unitary; with ``shared_basis``, an even
+    seed's generator draws a column mask of that basis instead.  One stacked
+    QR serves the pool, and elements that keep the same columns share one
+    product C C^dagger; a product over all columns with the rest zeroed would
+    change the last bits.
+    """
+    bases = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    masks = np.empty((len(seeds), dim), dtype=bool)
+    fresh = []
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if shared_basis is not None and seed % 2 == 0:
+            bases[i] = shared_basis
+            masks[i] = rng.integers(0, 2, size=dim) == 1
+        else:
+            bases[i] = _standard_gaussian(rng, dim)
+            masks[i] = np.arange(dim) < rng.integers(0, dim + 1)
+            fresh.append(i)
+    if fresh:
+        bases[fresh] = _unitary_from(bases[fresh])
     P = np.empty(bases.shape, dtype=np.complex128)
     for mask in np.unique(masks, axis=0):
         at = np.flatnonzero((masks == mask).all(axis=1))
@@ -244,6 +254,8 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if kind == OperatorKind.PROJECTION:
+        return _projection_pool(dim, [seed])[0]
     rng = np.random.default_rng(seed)
     if kind == OperatorKind.BOUNDED:
         return _gaussian(rng, dim)
@@ -265,19 +277,22 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
         if hi - lo > 1e-9:
             return (H - lo * identity(dim)) / (hi - lo)
         return float(np.clip(hi, 0.0, 1.0)) * identity(dim)
-    if kind == OperatorKind.PROJECTION:
-        G, mask = _projection_draws(rng, dim)
-        return _projections(_unitary_from(G[None]), mask[None])[0]
     raise ValueError(f"unknown operator kind: {kind!r}")
 
 
 def projector_onto(column: np.ndarray) -> np.ndarray:
-    """Rank-one projector onto a (nonzero) vector."""
+    """Rank-one projector onto a (nonzero) vector.
+
+    The vector is first scaled by the exact power of two that puts its
+    largest real or imaginary entry in [0.5, 1), as hermitian_eig scales its
+    matrix, so that v^dagger v neither overflows nor underflows.
+    """
     v = np.asarray(column, dtype=np.complex128).reshape(-1, 1)
-    nrm = float(np.sqrt((v.conj().T @ v).real[0, 0]))
-    if nrm == 0.0:
+    peak = np.abs(v.view(np.float64)).max(initial=0.0)
+    if peak == 0.0:
         raise ValueError("cannot project onto the zero vector")
-    v = v / nrm
+    v = np.ldexp(v.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
+    v = v / float(np.sqrt((v.conj().T @ v).real[0, 0]))
     return v @ v.conj().T
 
 

@@ -1,5 +1,7 @@
 """Weighted points, formal differences, complex pairs, and their realizations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,24 @@ def test_r_iso_round_trips_up_to_equivalence():
         assert max_norm(r_iso_pos_sa(d2) - A) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "pos, neg, expected",
+    [
+        (np.int64(2), np.int64(1), 1),
+        (np.float32(2), 0.0, 2.0),
+        (Fraction(1, 2), 0, Fraction(1, 2)),
+    ],
+    ids=["int64", "float32", "Fraction"],
+)
+def test_r_iso_accepts_every_real_scalar_component(pos, neg, expected):
+    assert r_iso_pos_sa(Difference(pos, neg)) == expected
+
+
+def test_r_equiv_stays_exact_on_integers_beyond_float_precision():
+    assert not r_equiv(Difference(2**60 + 1, 0), Difference(2**60, 0))
+    assert r_equiv(Difference(10**400, 1), Difference(10**400 + 1, 2))
+
+
 def test_r_iso_rejects_negative_components():
     with pytest.raises(NotPositive):
         r_iso_pos_sa(Difference(mat([[1, 0], [0, -1]]), np.zeros((2, 2))))
@@ -248,6 +268,12 @@ def test_c_iso_intertwines_scalar_action():
 def test_c_iso_rejects_non_self_adjoint():
     with pytest.raises(NotHermitian):
         c_iso_sa_b(ComplexPair(mat([[0, 1], [0, 0]]), np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("z", [1 + 2j, np.complex64(1 + 2j), np.complex128(1 + 2j)])
+def test_c_iso_rejects_every_non_real_scalar_component(z):
+    with pytest.raises(NotHermitian):
+        c_iso_sa_b(ComplexPair(z, 0.0))
 
 
 # --- the whole chain --------------------------------------------------------------

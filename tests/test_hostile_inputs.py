@@ -1,4 +1,4 @@
-"""Huge finite entries and overflowing residuals, held to a verdict.
+"""Huge, tiny and infinite entries and overflowing residuals, held to a verdict.
 
 Every case here runs with all warnings raised as errors: a matrix whose
 entries are finite but near the top of the float range must get a correct
@@ -15,10 +15,10 @@ import pytest
 
 from hsdual import linalg
 from hsdual.cli import main
-from hsdual.duality import ContractViolation, Functional, hs_forward, hs_inverse
-from hsdual.free import s_iso_pos_dm
-from hsdual.linalg import LinalgError, approx_eq
-from hsdual.operators import OperatorKind, classify, in_kind, loewner_leq
+from hsdual.duality import ContractViolation, Functional, hs_forward, hs_inverse, naturality_check
+from hsdual.free import ComplexPair, Difference, c_iso_sa_b, r_equiv, s_iso_pos_dm
+from hsdual.linalg import LinalgError, NotHermitian, approx_eq, identity, is_hermitian
+from hsdual.operators import OperatorKind, classify, in_kind, loewner_leq, projector_onto
 from hsdual.wp import InvalidChannel, unitary_channel
 
 from conftest import mat
@@ -80,6 +80,39 @@ def test_hs_inverse_refuses_a_reconstruction_that_overflows():
 
     with pytest.raises(ContractViolation, match="disagrees"):
         hs_inverse(OperatorKind.SELF_ADJOINT, Functional(OperatorKind.SELF_ADJOINT, 2, f))
+
+
+@pytest.mark.parametrize(
+    "column, expected",
+    [
+        ([1e308, 1e308], [[0.5, 0.5], [0.5, 0.5]]),
+        ([1e-200, 0], [[1, 0], [0, 0]]),
+        ([5e-324, 0], [[1, 0], [0, 0]]),
+    ],
+    ids=["huge", "tiny", "subnormal"],
+)
+def test_projector_onto_a_vector_at_the_ends_of_the_float_range(column, expected):
+    assert approx_eq(projector_onto(column), mat(expected), 1e-15)
+
+
+def test_an_infinite_entry_is_neither_hermitian_nor_equal():
+    inf = mat([[np.inf]])
+    assert not is_hermitian(inf)
+    assert not approx_eq(inf, inf)
+    with pytest.raises(NotHermitian):
+        c_iso_sa_b(ComplexPair(inf, mat([[0]])))
+
+
+def test_naturality_check_reports_an_overflow_as_a_failing_residual():
+    residual = naturality_check(1e200 * identity(2), identity(2), identity(2))
+    assert not residual <= 1e-9
+
+
+@pytest.mark.parametrize("wrap", [float, lambda x: x * identity(2)], ids=["scalar", "matrix"])
+def test_r_equiv_of_huge_components_does_not_overflow_its_cross_sums(wrap):
+    p = Difference(wrap(1e308), wrap(1e308))
+    assert r_equiv(p, p)
+    assert not r_equiv(p, Difference(wrap(1e308), wrap(0.0)))
 
 
 def test_cli_classifies_a_huge_diagonal_quietly(capsys, tmp_path):
