@@ -176,9 +176,6 @@ class FormalSum:
             result = result + c
         return result
 
-    def __iter__(self):
-        return iter(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 

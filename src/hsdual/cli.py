@@ -18,7 +18,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import algebra, effect, free
-from .duality import DualityError, hs_forward, hs_inverse
+from .duality import DUAL_KINDS, DualityError, hs_forward, hs_inverse
 from .linalg import (
     DEFAULT_TOL,
     LinalgError,
@@ -41,12 +41,15 @@ from .wp import (
     wp as weakest_precondition,
 )
 
-_KIND_FLAGS = {
-    "bounded": OperatorKind.BOUNDED,
-    "self-adjoint": OperatorKind.SELF_ADJOINT,
-    "positive": OperatorKind.POSITIVE,
-    "effect": OperatorKind.EFFECT,
-    "density": OperatorKind.DENSITY,
+#: --kind names: each kind the duality layer inverts, written in lower-case kebab.
+_KIND_FLAGS = {k.name.lower().replace("_", "-"): k for k in DUAL_KINDS}
+
+#: --instance names, in the order --help lists them, and their makers (dim, tol).
+_INSTANCES = {
+    "interval": lambda dim, tol: effect.make_unit_interval(),
+    "powerset": lambda dim, tol: effect.make_powerset(dim),
+    "effects": effect.make_effects,
+    "projections": effect.make_projections,
 }
 
 
@@ -223,19 +226,10 @@ def _cmd_laws(args) -> tuple[dict, bool]:
 
     if args.instance is None:
         raise _InputError("laws needs --suite monad or --instance <name>")
-    if args.instance == "interval":
-        inst = effect.make_unit_interval()
-    elif args.instance == "powerset":
-        try:
-            inst = effect.make_powerset(dim)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-    elif args.instance == "effects":
-        inst = effect.make_effects(dim, args.tol)
-    elif args.instance == "projections":
-        inst = effect.make_projections(dim, args.tol)
-    else:  # unreachable through argparse choices
-        raise _InputError(f"unknown instance {args.instance!r}")
+    try:
+        inst = _INSTANCES[args.instance](dim, args.tol)
+    except ValueError as exc:  # a powerset past its largest size
+        raise _InputError(str(exc)) from exc
     if args.samples is not None and effect.checks_exhaustively(inst):
         raise _InputError(
             f"--samples does not apply to --instance {args.instance} --dim {dim}: "
@@ -323,11 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", parents=[common], help="monad laws or effect-algebra laws")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--suite", choices=["monad"], default=None)
-    which.add_argument(
-        "--instance",
-        choices=["interval", "powerset", "effects", "projections"],
-        default=None,
-    )
+    which.add_argument("--instance", choices=list(_INSTANCES), default=None)
     p.add_argument("--dim", type=_dim, help="dimension / ground-set size (default 2)")
     p.add_argument("--samples", type=_positive_int, help="sampled elements (default 200)")
     p.set_defaults(func=_cmd_laws)

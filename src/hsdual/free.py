@@ -20,6 +20,7 @@ all reals; real pairs give the complex numbers).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,9 +51,10 @@ from .operators import (
 
 @dataclass(frozen=True)
 class WeightedPoint:
-    """Zero, or a strictly positive weight on a carrier point.
+    """Zero, or a strictly positive finite weight on a carrier point.
 
     The zero element is the unique instance with weight 0 (and point None).
+    A weight that is negative, infinite or NaN raises ValueError.
     """
 
     weight: float
@@ -63,8 +65,8 @@ class WeightedPoint:
         return self.weight == 0.0
 
     def __post_init__(self):
-        if not self.weight >= 0:  # written so that a NaN weight fails
-            raise ValueError("weights must be nonnegative")
+        if not 0 <= self.weight < math.inf:  # written so that a NaN weight fails
+            raise ValueError(f"weights must be finite and nonnegative, got {self.weight!r}")
         if self.weight == 0 and self.point is not None:
             raise ValueError("the zero element carries no point; use s_zero()")
         if self.weight > 0 and self.point is None:
@@ -83,7 +85,10 @@ def s_point(weight: float, point) -> WeightedPoint:
 
 def s_add(u: WeightedPoint, v: WeightedPoint) -> WeightedPoint:
     """Add weights; the points combine convexly in proportion to them,
-    r*x + (1-r)*y with r = u.weight / total (matrices and scalars)."""
+    r*x + (1-r)*y with r = u.weight / total (matrices and scalars).
+
+    ValueError if the total weight is beyond the float range.
+    """
     if u.is_zero:
         return v
     if v.is_zero:
@@ -94,6 +99,7 @@ def s_add(u: WeightedPoint, v: WeightedPoint) -> WeightedPoint:
 
 
 def s_smul(r: float, u: WeightedPoint) -> WeightedPoint:
+    """Scale the weight by r >= 0; ValueError if it goes beyond the float range."""
     if not r >= 0:
         raise ValueError("the scalar action admits nonnegative scalars only")
     if r == 0 or u.is_zero:
@@ -181,8 +187,8 @@ def _check_positive(x, tol: float) -> None:
         if not in_kind(x, OperatorKind.POSITIVE, tol):
             raise NotPositive("difference components must be positive")
     else:
-        if not (isinstance(x, numbers.Real) and x >= -tol):
-            raise NotPositive(f"scalar component {x!r} is not nonnegative")
+        if not (isinstance(x, numbers.Real) and -tol <= x < math.inf):
+            raise NotPositive(f"scalar component {x!r} is not a finite nonnegative number")
 
 
 def r_iso_pos_sa(p: Difference, tol: float = DEFAULT_TOL):
@@ -227,8 +233,8 @@ def _check_sa(x, tol: float) -> None:
         if not is_hermitian(x, tol):
             raise NotHermitian("complex-pair components must be self-adjoint")
     else:
-        if isinstance(x, numbers.Complex) and not abs(x.imag) <= tol:
-            raise NotHermitian(f"scalar component {x!r} is not real")
+        if not (isinstance(x, numbers.Complex) and abs(x.real) < math.inf and abs(x.imag) <= tol):
+            raise NotHermitian(f"scalar component {x!r} is not a finite real number")
 
 
 def c_iso_sa_b(p: ComplexPair, tol: float = DEFAULT_TOL):

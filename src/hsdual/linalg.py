@@ -314,3 +314,29 @@ def matrix_from_json(obj) -> np.ndarray:
     if dim < 1:
         raise ValueError("matrix JSON must have dim >= 1")
     return as_matrix(entries_from_json(data, dim * dim, "matrix JSON").reshape(dim, dim))
+
+
+__all__ = [
+    "DEFAULT_TOL",
+    "EIG_TOL",
+    "LinalgError",
+    "DimensionMismatch",
+    "NotHermitian",
+    "NoConvergence",
+    "as_matrix",
+    "identity",
+    "zeros",
+    "max_norm",
+    "trace",
+    "dagger",
+    "outer_unit",
+    "approx_eq",
+    "hermitian_part",
+    "is_hermitian",
+    "EigenDecomposition",
+    "hermitian_eig",
+    "matrix_to_json",
+    "int_from_json",
+    "entries_from_json",
+    "matrix_from_json",
+]

@@ -281,14 +281,17 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
 
 
 def projector_onto(column: np.ndarray) -> np.ndarray:
-    """Rank-one projector onto a (nonzero) vector.
+    """Rank-one projector onto a (nonzero, finite) vector.
 
     The vector is first scaled by the exact power of two that puts its
     largest real or imaginary entry in [0.5, 1), as hermitian_eig scales its
-    matrix, so that v^dagger v neither overflows nor underflows.
+    matrix, so that v^dagger v neither overflows nor underflows.  A zero
+    vector, or one with an infinite or NaN entry, raises ValueError.
     """
     v = np.asarray(column, dtype=np.complex128).reshape(-1, 1)
     peak = np.abs(v.view(np.float64)).max(initial=0.0)
+    if not np.isfinite(peak):
+        raise ValueError("cannot project onto a vector with an infinite or NaN entry")
     if peak == 0.0:
         raise ValueError("cannot project onto the zero vector")
     v = np.ldexp(v.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)

@@ -16,9 +16,26 @@ import pytest
 from hsdual import linalg
 from hsdual.cli import main
 from hsdual.duality import ContractViolation, Functional, hs_forward, hs_inverse, naturality_check
-from hsdual.free import ComplexPair, Difference, c_iso_sa_b, r_equiv, s_iso_pos_dm
+from hsdual.free import (
+    ComplexPair,
+    Difference,
+    c_iso_sa_b,
+    r_equiv,
+    r_iso_pos_sa,
+    s_add,
+    s_iso_pos_dm,
+    s_point,
+    s_smul,
+)
 from hsdual.linalg import LinalgError, NotHermitian, approx_eq, identity, is_hermitian
-from hsdual.operators import OperatorKind, classify, in_kind, loewner_leq, projector_onto
+from hsdual.operators import (
+    NotPositive,
+    OperatorKind,
+    classify,
+    in_kind,
+    loewner_leq,
+    projector_onto,
+)
 from hsdual.wp import InvalidChannel, unitary_channel
 
 from conftest import mat
@@ -113,6 +130,42 @@ def test_r_equiv_of_huge_components_does_not_overflow_its_cross_sums(wrap):
     p = Difference(wrap(1e308), wrap(1e308))
     assert r_equiv(p, p)
     assert not r_equiv(p, Difference(wrap(1e308), wrap(0.0)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: s_add(s_point(1e308, 1.0), s_point(1e308, 2.0)),
+        lambda: s_smul(1e308, s_point(10.0, 1.0)),
+        lambda: s_point(float("inf"), 1.0),
+    ],
+    ids=["s_add", "s_smul", "s_point"],
+)
+def test_a_weight_beyond_the_float_range_is_refused(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("column", [[np.inf, 0], [np.nan, 1], [1, complex(0, -np.inf)]])
+def test_projector_onto_refuses_a_non_finite_vector(column):
+    with pytest.raises(ValueError, match="infinite or NaN"):
+        projector_onto(column)
+
+
+@pytest.mark.parametrize("part", [np.inf, np.nan, -np.inf])
+def test_a_difference_of_non_finite_scalars_is_not_positive(part):
+    with pytest.raises(NotPositive, match="finite"):
+        r_iso_pos_sa(Difference(part, part))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [ComplexPair("a", 0.0), ComplexPair(0.0, None), ComplexPair(np.inf, 0.0), ComplexPair(1.0, np.nan)],
+    ids=["string", "none", "inf", "nan"],
+)
+def test_a_complex_pair_of_non_finite_or_non_numeric_scalars_is_not_hermitian(pair):
+    with pytest.raises(NotHermitian, match="finite real"):
+        c_iso_sa_b(pair)
 
 
 def test_cli_classifies_a_huge_diagonal_quietly(capsys, tmp_path):
