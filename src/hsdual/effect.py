@@ -5,9 +5,10 @@ zero, and for every x a unique orthosupplement x' with x + x' = 1; the only
 element summable with 1 is 0.  Some instances additionally carry a [0, 1]
 scalar action (effect modules).  Instances are packaged as plain records of
 closures over their carrier, with partiality encoded as an optional return:
-``ovee`` yields None exactly when the sum is undefined.  A matrix instance may
-also carry its operations on stacks of elements (``StackedOps``), which the
-law checker then uses to test many cases per call.
+``ovee`` yields None exactly when the sum is undefined.  An instance may also
+carry its operations on stacks of encoded elements (``StackedOps``): integer
+arrays for the unit interval and the powersets, matrix stacks for the
+projections.  The law checker then tests many cases per call.
 
 Four stock instances are provided -- the rational unit interval, finite
 powersets under disjoint union, the effect operators of a finite-dimensional
@@ -18,6 +19,7 @@ counterexamples to every axiom on an enumerated or sampled carrier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -30,8 +32,12 @@ from .operators import OperatorKind, _projection_pool, loewner_leq, sample, samp
 
 @dataclass(frozen=True)
 class StackedOps:
-    """``ovee``, ``eq`` and ``orth`` of a matrix carrier on (b, n, n) stacks.
+    """``ovee``, ``eq`` and ``orth`` of a carrier on stacks of encoded elements.
 
+    ``encode(elements)`` maps a sequence of b carrier elements to the array
+    whose leading axis runs over them: by default ``np.asarray``, which
+    makes a matrix carrier's (b, n, n) stack; the exact carriers encode
+    each element as one integer.  The operations act on such arrays.
     ``ovee(X, Y)`` returns the b sums X[i] (+) Y[i] and a (b,) boolean mask
     of which of them are defined; a sum the mask marks undefined may hold
     any value, and may be passed to the operations again.  ``eq(X, Y)``
@@ -42,13 +48,20 @@ class StackedOps:
 
     ``sample``, if given, draws a whole pool: ``sample(seeds)`` takes a
     sequence of b integer seeds and returns the (b, n, n) stack whose
-    element i is bit for bit the instance's ``sampler(seeds[i])``.
+    element i is bit for bit the instance's ``sampler(seeds[i])``; it suits
+    a matrix carrier, whose ``encode`` is ``np.asarray``.
+
+    ``agrees_with``, if given, is the per-element ``ovee`` these operations
+    agree with; ``law_suite`` ignores the stacked operations of an instance
+    whose ``ovee`` is another function, say one replaced to plant a bug.
     """
 
     ovee: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     eq: Callable[[np.ndarray, np.ndarray], np.ndarray]
     orth: Callable[[np.ndarray], np.ndarray]
     sample: Optional[Callable[[Sequence[int]], np.ndarray]] = None
+    encode: Callable[[Sequence], np.ndarray] = np.asarray
+    agrees_with: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -66,14 +79,17 @@ class EffectInstance:
     this when it computes each pair sum once and reuses it across laws.
 
     ``stacked``, if given, holds the same three operations on stacks of
-    matrix elements (see ``StackedOps``), and a sampled ``law_suite`` then
-    checks the effect-algebra laws with them, a stack of cases per call;
-    if ``stacked.sample`` is set, it draws the sampled pool as one stack.
-    Whoever replaces ``ovee``, ``eq``, ``orth`` or ``sampler`` on an
-    instance that has ``stacked`` (say with ``dataclasses.replace``) must
-    replace ``stacked`` too, or set it to None; otherwise the sampled laws
-    never call the new operation, or check a pool the new sampler did not
-    draw.
+    encoded elements (see ``StackedOps``), and ``law_suite`` then checks
+    the effect-algebra laws with them, a stack of cases per call, on an
+    exhaustive or a sampled pool; if ``stacked.sample`` is set, it draws
+    the sampled pool as one stack.  A replaced ``ovee`` that is not
+    ``stacked.agrees_with`` turns the stacked laws off when that field is
+    set (the unit interval and the powersets set it; the projections do
+    not).  Otherwise, whoever replaces ``ovee``, ``eq``, ``orth`` or
+    ``sampler`` on an instance that has ``stacked`` (say with
+    ``dataclasses.replace``) must replace ``stacked`` too, or set it to
+    None; otherwise the laws never call the new operation, or check a pool
+    the new sampler did not draw.
     """
 
     name: str
@@ -97,6 +113,13 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
 
     The carrier is every p/q with 1 <= q <= max_denominator, so
     ``max_denominator`` must be at least 1 (ValueError otherwise).
+
+    ``stacked`` encodes p/q as the integer p * (L / q), with L the least
+    common multiple of 1..max_denominator, in the narrowest of int32 and
+    int64 that holds 3L (three summed elements); the sum is X + Y, defined
+    when it is at most L.  Beyond int64 (max_denominator above 42) there is
+    no ``stacked``.  Encoding an element outside the carrier, say one drawn
+    by a replaced ``sampler``, raises ValueError.
     """
     if max_denominator < 1:
         raise ValueError("unit-interval instances need max_denominator >= 1")
@@ -121,6 +144,27 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
         p = int(rng.integers(0, q + 1))
         return Fraction(p, q)
 
+    L = math.lcm(*range(1, max_denominator + 1))
+    dtype = next((t for t in (np.int32, np.int64) if 3 * L <= np.iinfo(t).max), None)
+
+    def code(x: Fraction) -> int:
+        scale, rest = divmod(L, x.denominator)
+        if rest or not 0 <= x <= 1:
+            raise ValueError(
+                f"{x} is not in the unit interval with denominators up to {max_denominator}"
+            )
+        return x.numerator * scale
+
+    stacked = None
+    if dtype is not None:
+        stacked = StackedOps(
+            ovee=lambda X, Y: (X + Y, X + Y <= L),
+            eq=lambda X, Y: X == Y,
+            orth=lambda X: L - X,
+            encode=lambda xs: np.array([code(x) for x in xs], dtype),
+            agrees_with=ovee,
+        )
+
     return EffectInstance(
         name="unit-interval",
         zero=Fraction(0),
@@ -132,17 +176,37 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
         sampler=sampler,
         universe=universe,
         describe=str,
+        stacked=stacked,
     )
 
 
 def make_powerset(size: int) -> EffectInstance:
-    """Subsets of {0, .., size-1}; disjoint sets sum by union."""
+    """Subsets of {0, .., size-1}; disjoint sets sum by union.
+
+    ``stacked`` encodes a subset as its int32 bitmask: the sum is X | Y,
+    defined when X & Y is empty, and the orthosupplement is the complement
+    mask.  Encoding a set outside the carrier raises ValueError.
+    """
     if not (1 <= size <= 16):
         raise ValueError("powerset instances support sizes 1..16")
     ground = frozenset(range(size))
+    full = (1 << size) - 1
 
     def ovee(x: frozenset, y: frozenset) -> Optional[frozenset]:
         return x | y if not (x & y) else None
+
+    def code(x: frozenset) -> int:
+        if not x <= ground:
+            raise ValueError(f"{set(x)} is not an element of powerset-{size}")
+        return sum(1 << i for i in x)
+
+    stacked = StackedOps(
+        ovee=lambda X, Y: (X | Y, (X & Y) == 0),
+        eq=lambda X, Y: X == Y,
+        orth=lambda X: full ^ X,
+        encode=lambda xs: np.array([code(x) for x in xs], np.int32),
+        agrees_with=ovee,
+    )
 
     def sampler(seed: int) -> frozenset:
         rng = np.random.default_rng(seed)
@@ -165,6 +229,7 @@ def make_powerset(size: int) -> EffectInstance:
         sampler=sampler,
         universe=universe,
         describe=lambda x: "{" + ",".join(map(str, sorted(x))) + "}",
+        stacked=stacked,
     )
 
 
@@ -342,24 +407,25 @@ def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[Sequen
 
 
 def _scalar_pool(rng: np.random.Generator, count: int) -> list[Fraction]:
+    # one call draws what count calls rng.integers(0, 9) would, in order
     grid = [Fraction(k, 8) for k in range(9)]
-    return [grid[int(rng.integers(0, len(grid)))] for _ in range(count)]
+    return [grid[k] for k in rng.integers(0, len(grid), size=count).tolist()]
 
 
-def _stacked_tests(inst: EffectInstance) -> dict[str, Callable]:
-    """Each effect-algebra law's check, written on stacks with ``inst.stacked``.
+def _stacked_tests(ops: StackedOps, zero_code, one_code) -> dict[str, Callable]:
+    """Each effect-algebra law's check, written on stacks with ``ops``.
 
-    A law's test takes one operand stack per column of its index rows (see
+    ``zero_code`` and ``one_code`` are the encoded zero and one.  A law's
+    test takes one operand stack per column of its index rows (see
     ``law_suite``) and returns the mask of the cases whose per-element check
     fails.
     """
-    ops = inst.stacked
 
     def zero(X):
-        return np.broadcast_to(inst.zero, X.shape)
+        return np.broadcast_to(zero_code, X.shape)
 
     def one(X):
-        return np.broadcast_to(inst.one, X.shape)
+        return np.broadcast_to(one_code, X.shape)
 
     def zero_unit(X):
         S, defined = ops.ovee(zero(X), X)
@@ -419,28 +485,31 @@ def law_suite(
     the complement rows (x, orth(x)).  Its cases are the rows in order, and
     it stops at the first row whose per-element check fails.
 
-    Cost: each ordered pair of elements is summed at most once per run and
-    shared by every law that needs it, so an exhaustive pool of n elements
-    costs n² pair sums.  Likewise orth(x) and x (+) orth(x) are computed
-    once per pool element and shared by both orthosupplement laws.  These
-    values live for one call; nothing is cached across calls.
-    Associativity holds vacuously where y (+) z is undefined, so an
-    exhaustive pool visits only the triples (x, y, z) with y (+) z defined;
-    ``checked`` still counts all n³ of them, or gives the 1-based x-major
-    position of the first failing triple.
+    Cost, per element: each ordered pair of elements is summed at most once
+    per run and shared by every law that needs it, so an exhaustive pool of
+    n elements costs at most n² pair sums.  Likewise orth(x) and
+    x (+) orth(x) are computed once per pool element and shared by both
+    orthosupplement laws.  These values live for one call; nothing is
+    cached across calls.  Associativity holds vacuously where y (+) z is
+    undefined, so an exhaustive pool without ``stacked`` visits only the
+    triples (x, y, z) with y (+) z defined, read off a table of all n²
+    pair sums; ``checked`` still counts all n³ of them, or gives the
+    1-based x-major position of the first failing triple.
 
     A sampled pool holds ``sampler(seed + i)`` for i < samples, then zero
     and one.  ``stacked.sample`` draws it as one stack when the instance has
     it (for projections: one QR and one product per column pattern for the
     whole pool), and ``sampler`` element by element otherwise.  On an
-    instance with ``stacked``, the pool is stacked with its
-    orthosupplements, and each of the six effect-algebra laws tests its rows
-    with ``stacked``, a chunk of at most 2^16 matrix entries per operand at
-    a time, so the memory beyond those two stacks stays bounded for any
-    ``samples``.  Only the rows a test flags run per element, to word the
-    counterexample; the report equals the per-element one (same draws,
-    counts, positions and text), and ValueError is raised if the per-element
-    check passes a flagged case.  The scalar laws always run per element.
+    instance with ``stacked`` (and whose ``ovee`` is the one it agrees
+    with), the pool, exhaustive or sampled, is encoded once and stacked with
+    its orthosupplements, and each of the six effect-algebra laws tests its
+    rows with ``stacked``, a chunk of at most 2^16 encoded entries per
+    operand at a time, so the memory beyond those two stacks stays bounded
+    for any ``samples``.  Only the rows a test flags run per element, to
+    word the counterexample; the report equals the per-element one (same
+    draws, counts, positions and text), and ValueError is raised if the
+    per-element check passes a flagged case.  The scalar laws always run
+    per element.
     """
     pool, exhaustive = _element_pool(inst, samples, seed)
     rng = np.random.default_rng(seed)
@@ -604,20 +673,23 @@ def law_suite(
 
     # flags[law] marks a chunk's candidate rows; a law without one runs
     # every row.  A stacked test flags the rows whose check fails.
-    if exhaustive or inst.stacked is None:
+    ops = inst.stacked
+    if ops is not None and ops.agrees_with not in (None, inst.ovee):
+        ops = None  # they agree with another ovee than the one to check
+    if ops is None:
         chunk, tests = _STACK_ENTRIES, {}
     else:
-        stack = np.asarray(pool)
+        stack = ops.encode(pool)
         stack.setflags(write=False)
-        stack = np.concatenate((stack, inst.stacked.orth(stack)))
+        stack = np.concatenate((stack, ops.orth(stack)))
         stack.setflags(write=False)
         chunk = max(1, _STACK_ENTRIES // stack[0].size)
         tests = {
             law: lambda rows, test=test: test(*stack[rows.T])
-            for law, test in _stacked_tests(inst).items()
+            for law, test in _stacked_tests(ops, *ops.encode([inst.zero, inst.one])).items()
         }
     flags = dict(tests)
-    if exhaustive:
+    if exhaustive and ops is None:
         defined = np.array([[pair_sum(j, k) is not None for k in range(n)] for j in range(n)])
         flags["associativity"] = lambda rows: defined[rows[:, 1], rows[:, 2]]
 

@@ -46,6 +46,21 @@ from .operators import (
 )
 
 
+def _is_finite(x) -> bool:
+    """Whether every entry of an array or number x is finite (not NaN)."""
+    if isinstance(x, np.ndarray):
+        return bool(np.isfinite(x).all())
+    return abs(x.real) < math.inf and abs(x.imag) < math.inf
+
+
+def _finite(x):
+    """x, or LinalgError if an entry of it is infinite or NaN: an arithmetic
+    result beyond the float range, computed with NumPy's warnings off."""
+    if not _is_finite(x):
+        raise LinalgError("a result is beyond the float range")
+    return x
+
+
 # --- weighted points over a convex carrier -----------------------------------
 
 
@@ -93,8 +108,11 @@ def s_add(u: WeightedPoint, v: WeightedPoint) -> WeightedPoint:
         return v
     if v.is_zero:
         return u
-    total = u.weight + v.weight
-    r = u.weight / total
+    # Python floats overflow to inf without the warning a NumPy weight would
+    # raise, and WeightedPoint refuses an infinite total
+    w = float(u.weight)
+    total = w + float(v.weight)
+    r = w / total
     return WeightedPoint(total, r * u.point + (1.0 - r) * v.point)
 
 
@@ -104,17 +122,21 @@ def s_smul(r: float, u: WeightedPoint) -> WeightedPoint:
         raise ValueError("the scalar action admits nonnegative scalars only")
     if r == 0 or u.is_zero:
         return s_zero()
-    return WeightedPoint(r * u.weight, u.point)
+    return WeightedPoint(float(r) * float(u.weight), u.point)
 
 
 def s_iso_dm_pos(u: WeightedPoint, dim: int) -> np.ndarray:
-    """Weighted densities realize positive operators: (w, rho) |-> w*rho."""
+    """Weighted densities realize positive operators: (w, rho) |-> w*rho.
+
+    LinalgError if an entry of the product is beyond the float range.
+    """
     if u.is_zero:
         return zeros(dim)
     rho = as_matrix(u.point)
     if rho.shape[0] != dim:
         raise ValueError(f"point dimension {rho.shape[0]} != {dim}")
-    return u.weight * rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(u.weight * rho)
 
 
 def s_iso_pos_dm(B: np.ndarray, tol: float = DEFAULT_TOL) -> WeightedPoint:
@@ -168,7 +190,9 @@ def r_equiv(p: Difference, q: Difference, tol: float = DEFAULT_TOL) -> bool:
 
 
 def r_add(p: Difference, q: Difference) -> Difference:
-    return Difference(p.pos + q.pos, p.neg + q.neg)
+    """Componentwise sum; LinalgError if a component is beyond the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Difference(_finite(p.pos + q.pos), _finite(p.neg + q.neg))
 
 
 def r_neg(p: Difference) -> Difference:
@@ -176,10 +200,14 @@ def r_neg(p: Difference) -> Difference:
 
 
 def r_smul(r: float, p: Difference) -> Difference:
-    """Real scalars act componentwise, swapping the roles when negative."""
-    if r >= 0:
-        return Difference(r * p.pos, r * p.neg)
-    return Difference((-r) * p.neg, (-r) * p.pos)
+    """Real scalars act componentwise, swapping the roles when negative.
+
+    LinalgError if a component is beyond the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if r >= 0:
+            return Difference(_finite(r * p.pos), _finite(r * p.neg))
+        return Difference(_finite((-r) * p.neg), _finite((-r) * p.pos))
 
 
 def _check_positive(x, tol: float) -> None:
@@ -199,10 +227,17 @@ def r_iso_pos_sa(p: Difference, tol: float = DEFAULT_TOL):
 
 
 def r_iso_sa_pos(A, tol: float = DEFAULT_TOL) -> Difference:
-    """Inverse direction: the canonical spectral split (scalars: sign split)."""
+    """Inverse direction: the canonical spectral split (scalars: sign split).
+
+    NotHermitian for a matrix that is not self-adjoint within tol, and
+    NotPositive, as ``r_iso_pos_sa`` raises, for anything else that is not
+    a finite real number (a string, NaN, an infinity, a nested list).
+    """
     if isinstance(A, np.ndarray):
         P, N = pos_neg_split(A, tol)
         return Difference(P, N)
+    if not (isinstance(A, numbers.Real) and _is_finite(A)):
+        raise NotPositive(f"scalar {A!r} is not a finite real number")
     a = float(A)
     return Difference(a, 0.0) if a >= 0 else Difference(0.0, -a)
 
@@ -245,10 +280,16 @@ def c_iso_sa_b(p: ComplexPair, tol: float = DEFAULT_TOL):
 
 
 def c_iso_b_sa(A) -> ComplexPair:
-    """Inverse direction: operator real/imaginary parts (scalars likewise)."""
+    """Inverse direction: operator real/imaginary parts (scalars likewise).
+
+    NotHermitian, as ``c_iso_sa_b`` raises, for a scalar that is not a
+    finite number (a string, NaN, an infinite part, a nested list).
+    """
     if isinstance(A, np.ndarray):
         X, Y = sa_components(A)
         return ComplexPair(X, Y)
+    if not (isinstance(A, numbers.Complex) and _is_finite(A)):
+        raise NotHermitian(f"scalar {A!r} is not a finite number")
     z = complex(A)
     return ComplexPair(z.real, z.imag)
 

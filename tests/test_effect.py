@@ -8,6 +8,7 @@ suite actually finds counterexamples instead of rubber-stamping.
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count
+import math
 
 import numpy as np
 import pytest
@@ -656,3 +657,180 @@ def test_a_sampled_law_check_refuses_an_instance_without_a_sampler():
     # a universe too large to check exhaustively is not a sampler
     with pytest.raises(ValueError, match="no sampler"):
         law_suite(replace(make_unit_interval(12), sampler=None), samples=5)
+
+
+# --- the exact carriers as integer stacks ------------------------------------------
+#
+# The unit interval and the powersets carry ``stacked`` operations on integer
+# encodings, used on exhaustive and sampled pools alike.  Their reports must
+# equal the per-element ones, and a replaced ovee must still be called.
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**31 - 1])
+@pytest.mark.parametrize(
+    "make, k",
+    [(make_powerset, k) for k in range(1, 6)] + [(make_unit_interval, k) for k in range(1, 11)],
+)
+def test_stacked_exhaustive_exact_laws_match_per_element(make, k, seed):
+    inst = make(k)
+    assert checks_exhaustively(inst)
+    report = _assert_stacked_matches_per_element(inst, samples=500, seed=seed)
+    assert report.all_pass
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+@pytest.mark.parametrize(
+    "make, k",
+    [(make_powerset, 6), (make_powerset, 12), (make_powerset, 16), (make_unit_interval, 12)],
+)
+def test_stacked_sampled_exact_laws_match_per_element(make, k, seed):
+    inst = make(k)
+    assert not checks_exhaustively(inst)
+    report = _assert_stacked_matches_per_element(inst, samples=200, seed=seed)
+    assert report.all_pass and report.entry("zero-unit").checked == 202
+
+
+@pytest.mark.parametrize("k", [22, 23, 42])
+def test_stacked_interval_laws_match_per_element_at_the_dtype_edges(k):
+    # the codes of k = 22 are the last in int32, of 23 the first in int64, of 42 the last
+    _assert_stacked_matches_per_element(make_unit_interval(k), samples=300, seed=k)
+
+
+@pytest.mark.parametrize(
+    "k, dtype", [(1, np.int32), (22, np.int32), (23, np.int64), (42, np.int64), (43, None)]
+)
+def test_unit_interval_codes_in_the_narrowest_dtype_that_holds_three_elements(k, dtype):
+    inst = make_unit_interval(k)
+    if dtype is None:
+        assert inst.stacked is None
+        return
+    codes = inst.stacked.encode([inst.zero, Fraction(1, k), inst.one])
+    L = math.lcm(*range(1, k + 1))
+    assert codes.dtype == dtype and codes.tolist() == [0, L // k, L]
+
+
+def test_powerset_codes_are_int32_bitmasks():
+    inst = make_powerset(16)
+    codes = inst.stacked.encode([inst.zero, frozenset({0, 3}), inst.one])
+    assert codes.dtype == np.int32 and codes.tolist() == [0, 9, 2**16 - 1]
+
+
+@pytest.mark.parametrize(
+    "inst, outsider",
+    [
+        (make_unit_interval(12), Fraction(1, 13)),
+        (make_unit_interval(12), Fraction(3, 2)),
+        (make_powerset(6), frozenset({6})),
+    ],
+    ids=["denominator", "above-one", "outside-ground"],
+)
+def test_a_replaced_sampler_drawing_outside_the_carrier_is_refused(inst, outsider):
+    with pytest.raises(ValueError, match="not"):
+        law_suite(replace(inst, sampler=lambda seed: outsider), samples=5)
+
+
+@pytest.mark.parametrize("size", [5, 12])
+def test_stacked_powerset_laws_never_call_the_per_element_ovee_on_a_passing_carrier(size):
+    good = make_powerset(size)
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return good.ovee(x, y)
+
+    inst = replace(good, ovee=counted, stacked=replace(good.stacked, agrees_with=counted))
+    assert law_suite(inst, samples=100).all_pass
+    assert calls == []
+
+
+def _decoding(ops: StackedOps, decode) -> dict:
+    """ovee, eq and orth that apply ``ops`` to one-element encoded stacks."""
+    enc = ops.encode
+
+    def ovee(x, y):
+        S, defined = ops.ovee(enc([x]), enc([y]))
+        return decode(S[0]) if defined[0] else None
+
+    return {
+        "ovee": ovee,
+        "eq": lambda x, y: bool(ops.eq(enc([x]), enc([y]))[0]),
+        "orth": lambda x: decode(ops.orth(enc([x]))[0]),
+    }
+
+
+def _planted_exact(good: EffectInstance, bug: str) -> EffectInstance:
+    """An exact instance with a bug written once, on its integer codes.
+
+    The scalar laws are dropped: they sum scaled elements, such as 1/8 of
+    an element of the interval up to 5, that have no code.
+    """
+    base = good.stacked
+    if isinstance(good.zero, Fraction):
+        scale = int(base.encode([good.one])[0])
+
+        def decode(code):
+            return Fraction(int(code), scale)
+    else:
+        size = len(good.one)
+
+        def decode(code):
+            return frozenset(i for i in range(size) if int(code) >> i & 1)
+
+    def ovee(X, Y):
+        S, defined = base.ovee(X, Y)
+        if bug == "asymmetric-definedness":
+            defined = defined & ~(X > 2 * Y + 1)
+        if bug == "skewed-sum":
+            S = S - ((S > 0) & (Y % 3 == 1))
+        return S, defined
+
+    def eq(X, Y):
+        same = base.eq(X, Y)
+        if bug == "irreflexive-eq":
+            same = same & ~((X % 4 == 1) & (Y % 4 == 1))
+        return same
+
+    def orth(X):
+        return base.orth(X) // 2 if bug == "wrong-orth" else base.orth(X)
+
+    ops = replace(base, ovee=ovee, eq=eq, orth=orth)
+    per_element = _decoding(ops, decode)
+    ops = replace(ops, agrees_with=per_element["ovee"])
+    return replace(
+        good, name=f"planted-{bug}-{good.name}", scalar_mul=None, stacked=ops, **per_element
+    )
+
+
+@pytest.mark.parametrize("chunk_cases", [None, 7])
+@pytest.mark.parametrize("seed", [2, 11])
+@pytest.mark.parametrize(
+    "make, k",
+    [(make_powerset, 3), (make_powerset, 12), (make_unit_interval, 5), (make_unit_interval, 12)],
+)
+@pytest.mark.parametrize(
+    "bug", ["none", "asymmetric-definedness", "skewed-sum", "wrong-orth", "irreflexive-eq"]
+)
+def test_stacked_exact_laws_report_planted_bugs_like_per_element(
+    monkeypatch, bug, make, k, seed, chunk_cases
+):
+    if chunk_cases is not None:
+        monkeypatch.setattr(effect, "_STACK_ENTRIES", chunk_cases)
+    inst = _planted_exact(make(k), bug)
+    report = _assert_stacked_matches_per_element(inst, samples=40, seed=seed)
+    assert [(e.law, e.passed, e.checked, e.counterexample) for e in report.entries] == (
+        _reference_entries(inst, 40, seed)
+    )
+    assert report.all_pass == (bug == "none")
+
+
+@pytest.mark.parametrize(
+    "make, k", [(make_powerset, 3), (make_powerset, 12), (make_unit_interval, 5)]
+)
+def test_a_replaced_ovee_on_an_exact_instance_is_checked_per_element(make, k):
+    def never(x, y):
+        return None
+
+    planted = replace(make(k), ovee=never)
+    report = law_suite(planted, samples=20)
+    assert not report.entry("zero-unit").passed
+    assert report == law_suite(replace(planted, stacked=None), samples=20)

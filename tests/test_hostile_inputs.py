@@ -27,6 +27,7 @@ from hsdual.free import (
     s_point,
     s_smul,
 )
+from hsdual.free import WeightedPoint, c_iso_b_sa, r_add, r_iso_sa_pos, r_smul, s_iso_dm_pos
 from hsdual.linalg import LinalgError, NotHermitian, approx_eq, identity, is_hermitian
 from hsdual.operators import (
     NotPositive,
@@ -210,3 +211,54 @@ def test_classify_forms_the_hermiticity_residual_once(residuals):
 def test_spectral_kind_checks_form_the_hermiticity_residual_once(residuals, kind):
     assert in_kind(mat([[0.5, 0.1], [0.1, 0.5]]), kind)
     assert len(residuals) == 1
+
+
+def test_s_iso_dm_pos_refuses_a_product_beyond_the_float_range():
+    with pytest.raises(LinalgError, match="float range"):
+        s_iso_dm_pos(s_point(1e308, mat([[2, 0], [0, 0]])), 2)
+
+
+def test_s_add_of_numpy_weights_refuses_their_overflowing_sum_quietly():
+    u = WeightedPoint(np.float64(1e308), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        s_add(u, u)
+
+
+def test_s_smul_of_a_numpy_weight_refuses_its_overflowing_product_quietly():
+    with pytest.raises(ValueError, match="finite"):
+        s_smul(10.0, WeightedPoint(np.float64(1e308), 1.0))
+
+
+@pytest.mark.parametrize("wrap", [float, lambda x: x * identity(2)], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("r", [1e308, -1e308])
+def test_r_smul_refuses_a_component_beyond_the_float_range(wrap, r):
+    with pytest.raises(LinalgError, match="float range"):
+        r_smul(r, Difference(wrap(10.0), wrap(0.0)))
+
+
+@pytest.mark.parametrize("wrap", [float, lambda x: x * identity(2)], ids=["scalar", "matrix"])
+def test_r_add_refuses_a_component_beyond_the_float_range(wrap):
+    huge = Difference(wrap(1e308), wrap(0.0))
+    with pytest.raises(LinalgError, match="float range"):
+        r_add(huge, huge)
+
+
+_NOT_FINITE_SCALARS = ["3", np.nan, np.inf, -np.inf, [[1]]]
+
+
+@pytest.mark.parametrize("a", _NOT_FINITE_SCALARS, ids=["string", "nan", "inf", "-inf", "nested"])
+def test_r_iso_sa_pos_refuses_what_r_iso_pos_sa_refuses(a):
+    with pytest.raises(NotPositive, match="finite real"):
+        r_iso_sa_pos(a)
+    with pytest.raises(NotPositive, match="finite"):
+        r_iso_pos_sa(Difference(a, 0.0))
+
+
+@pytest.mark.parametrize(
+    "z",
+    [*_NOT_FINITE_SCALARS, complex(0, np.inf), complex(1, np.nan)],
+    ids=["string", "nan", "inf", "-inf", "nested", "inf-imag", "nan-imag"],
+)
+def test_c_iso_b_sa_refuses_a_scalar_that_is_not_a_finite_number(z):
+    with pytest.raises(NotHermitian, match="finite number"):
+        c_iso_b_sa(z)
