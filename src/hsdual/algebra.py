@@ -70,10 +70,16 @@ class QC:
     re: Fraction
     im: Fraction
 
+    # Real operands (both imaginary parts zero) take one Fraction operation.
+
     def __add__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re + other.re, self.im)
         return QC(self.re + other.re, self.im + other.im)
 
     def __mul__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return QC(self.re * other.re, self.im)
         return QC(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -394,15 +400,21 @@ def monad_law_suite() -> dict:
     either side of a law; such instances fall outside the partial structure
     and are counted as skipped rather than compared.
 
-    Cost: within one configuration (a semiring with or without the
-    distribution flag) each value is computed once: ``unit(x)`` per carrier
-    key, the unit laws per distinct grid sum and the associativity law per
-    distinct double sum (sums over a smaller carrier recur over the larger
-    ones), and ``flatten`` per distinct sum of grid sums, whether it is an
-    inner sum of a double sum or an intermediate of either side of the law.
-    A recurring sum still counts, and records its violations, every time it
-    occurs.  The memo lives for one configuration of one call; nothing is
-    cached across calls.
+    Cost: the sums the laws run over are fixed inputs, built by
+    ``formal_sum`` alone, so they are enumerated once per process for each
+    (semiring, distribution flag, carrier size) on the first call and kept,
+    with their cached hashes and reprs (:func:`_monad_pools`).  The laws
+    themselves are evaluated on every call through the module-level
+    ``unit``, ``fmap`` and ``flatten``, so a replaced ``unit`` or
+    ``flatten`` is seen.  Within one configuration of one call each value is
+    computed once: ``unit(x)`` per carrier key, the unit laws per distinct
+    grid sum and the associativity law per distinct double sum (sums over a
+    smaller carrier recur over the larger ones), and ``flatten`` per
+    distinct sum of grid sums, whether it is an inner sum of a double sum or
+    an intermediate of either side of the law.  A recurring sum still
+    counts, and records its violations, every time it occurs.  No verdict or
+    ``flatten`` result outlives its configuration; the kept pools are inputs
+    to the laws, not results of them.
     """
     checked = 0
     skipped = 0
@@ -414,6 +426,29 @@ def monad_law_suite() -> dict:
         skipped += config_skipped
         violations += config_violations
     return {"checked": checked, "skipped": skipped, "violations": violations}
+
+
+#: (semiring, distribution flag, carrier size) -> (grid sums, double sums),
+#: filled by _monad_pools.
+_MONAD_POOLS: dict[tuple[Semiring, bool, int], tuple[tuple, tuple]] = {}
+
+
+def _monad_pools(semiring: Semiring, distribution: bool, size: int):
+    """(grid sums, double sums) over a carrier of ``size`` keys, built on
+    first use and kept for the process.
+
+    The unit laws run over the grid sums.  Associativity needs triple-nested
+    sums, so the double sums are enumerated over deterministic capped pools,
+    which keeps the coefficient grid exhaustive at every level.
+    """
+    key = (semiring, distribution, size)
+    pools = _MONAD_POOLS.get(key)
+    if pools is None:
+        level1 = tuple(_grid_sums(semiring, tuple("abc"[:size]), distribution))
+        pool2 = _enumerate_layered(semiring, level1[:6], distribution, cap=8)
+        level3 = tuple(_enumerate_layered(semiring, pool2, distribution, cap=64))
+        pools = _MONAD_POOLS[key] = (level1, level3)
+    return pools
 
 
 def _monad_laws_for(semiring: Semiring, distribution: bool) -> tuple[int, int, list]:
@@ -442,9 +477,7 @@ def _monad_laws_for(semiring: Semiring, distribution: bool) -> tuple[int, int, l
         return out
 
     for size in range(1, MONAD_MAX_CARRIER + 1):
-        carrier = tuple("abc"[:size])
-        level1 = list(_grid_sums(semiring, carrier, distribution))
-
+        level1, level3 = _monad_pools(semiring, distribution, size)
         for s in level1:
             if s not in unit_laws:
                 unit_laws[s] = (
@@ -458,12 +491,6 @@ def _monad_laws_for(semiring: Semiring, distribution: bool) -> tuple[int, int, l
             if inner_fails:
                 record("flatten-unit-inner", s)
 
-        # Associativity needs triple-nested sums; build them over
-        # deterministic capped pools so the coefficient grid stays
-        # exhaustive at every level.
-        pool1 = level1[: min(len(level1), 6)]
-        pool2 = _enumerate_layered(semiring, pool1, distribution, cap=8)
-        level3 = _enumerate_layered(semiring, pool2, distribution, cap=64)
         for t in level3:
             if t not in assoc:
                 try:

@@ -53,6 +53,25 @@ def _is_finite(x) -> bool:
     return abs(x.real) < math.inf and abs(x.imag) < math.inf
 
 
+def _fits_float(x) -> bool:
+    """Whether the number x converts to a complex with finite float parts;
+    an integer or Fraction beyond the float range does not."""
+    try:
+        return _is_finite(complex(x))
+    except OverflowError:
+        return False
+
+
+def _shown(x) -> str:
+    """repr(x) for an error message, or its type where that repr is longer
+    than 80 characters or refused (an int of more than 4,300 digits)."""
+    try:
+        r = repr(x)
+    except ValueError:
+        r = ""
+    return r if 0 < len(r) <= 80 else f"<{type(x).__name__}, too long to show>"
+
+
 def _finite(x):
     """x, or LinalgError if an entry of it is infinite or NaN: an arithmetic
     result beyond the float range, computed with NumPy's warnings off."""
@@ -215,8 +234,8 @@ def _check_positive(x, tol: float) -> None:
         if not in_kind(x, OperatorKind.POSITIVE, tol):
             raise NotPositive("difference components must be positive")
     else:
-        if not (isinstance(x, numbers.Real) and -tol <= x < math.inf):
-            raise NotPositive(f"scalar component {x!r} is not a finite nonnegative number")
+        if not (isinstance(x, numbers.Real) and -tol <= x and _fits_float(x)):
+            raise NotPositive(f"scalar component {_shown(x)} is not a finite nonnegative number")
 
 
 def r_iso_pos_sa(p: Difference, tol: float = DEFAULT_TOL):
@@ -236,8 +255,8 @@ def r_iso_sa_pos(A, tol: float = DEFAULT_TOL) -> Difference:
     if isinstance(A, np.ndarray):
         P, N = pos_neg_split(A, tol)
         return Difference(P, N)
-    if not (isinstance(A, numbers.Real) and _is_finite(A)):
-        raise NotPositive(f"scalar {A!r} is not a finite real number")
+    if not (isinstance(A, numbers.Real) and _fits_float(A)):
+        raise NotPositive(f"scalar {_shown(A)} is not a finite real number")
     a = float(A)
     return Difference(a, 0.0) if a >= 0 else Difference(0.0, -a)
 
@@ -268,8 +287,8 @@ def _check_sa(x, tol: float) -> None:
         if not is_hermitian(x, tol):
             raise NotHermitian("complex-pair components must be self-adjoint")
     else:
-        if not (isinstance(x, numbers.Complex) and abs(x.real) < math.inf and abs(x.imag) <= tol):
-            raise NotHermitian(f"scalar component {x!r} is not a finite real number")
+        if not (isinstance(x, numbers.Complex) and _fits_float(x) and abs(x.imag) <= tol):
+            raise NotHermitian(f"scalar component {_shown(x)} is not a finite real number")
 
 
 def c_iso_sa_b(p: ComplexPair, tol: float = DEFAULT_TOL):
@@ -288,8 +307,8 @@ def c_iso_b_sa(A) -> ComplexPair:
     if isinstance(A, np.ndarray):
         X, Y = sa_components(A)
         return ComplexPair(X, Y)
-    if not (isinstance(A, numbers.Complex) and _is_finite(A)):
-        raise NotHermitian(f"scalar {A!r} is not a finite number")
+    if not (isinstance(A, numbers.Complex) and _fits_float(A)):
+        raise NotHermitian(f"scalar {_shown(A)} is not a finite number")
     z = complex(A)
     return ComplexPair(z.real, z.imag)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hsdual
 from hsdual import algebra
@@ -145,6 +146,21 @@ def test_qc_arithmetic():
     assert a * b == QC(Fraction(-1), Fraction(1))  # (1+i)*i = -1+i
     assert a + b == QC(Fraction(1), Fraction(2))
     assert not QC(Fraction(0), Fraction(0))
+
+
+# parts that are zero half the time, so the real fast paths and the general
+# formulas both run
+_QC_PART = st.just(Fraction(0)) | st.fractions(min_value=-8, max_value=8, max_denominator=12)
+_QCS = st.builds(QC, _QC_PART, _QC_PART)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(a=_QCS, b=_QCS)
+def test_qc_sum_and_product_follow_the_general_formulas(a, b):
+    assert a + b == QC(a.re + b.re, a.im + b.im)
+    assert a * b == QC(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    for z in (a + b, a * b):
+        assert type(z.re) is Fraction and type(z.im) is Fraction
 
 
 # --- fmap / flatten / scale -------------------------------------------------------
@@ -420,6 +436,43 @@ def test_monad_law_suite_matches_reference_under_planted_bugs(monkeypatch, bug):
     else:
         # every planted bug is visible: a violation, or a shifted skip count
         assert got["violations"] or got["skipped"] != 27
+
+
+# --- the pool table -----------------------------------------------------------------
+
+
+def test_a_clean_run_does_not_hide_a_later_planted_bug(monkeypatch):
+    assert monad_law_suite()["violations"] == []  # fills the pool table
+    monkeypatch.setattr(algebra, "flatten", _flatten_dropping_a_term)
+    got = monad_law_suite()
+    assert got["violations"]
+    assert got == _reference_monad_law_suite()
+
+
+def test_repeated_runs_keep_one_pool_entry_per_configuration_and_size():
+    for _ in range(3):
+        monad_law_suite()
+    configs = [(s, False) for s in Semiring] + [(UI, True)]
+    sizes = range(1, algebra.MONAD_MAX_CARRIER + 1)
+    assert set(algebra._MONAD_POOLS) == {(s, d, n) for s, d in configs for n in sizes}
+    assert len(algebra._MONAD_POOLS) == 15
+
+
+_IMPORT_BUILDS_NO_POOL = """
+import sys
+sys.path.insert(0, {src!r})
+import hsdual, hsdual.cli
+from hsdual import algebra
+assert algebra._MONAD_POOLS == {{}}, algebra._MONAD_POOLS
+"""
+
+
+def test_a_fresh_import_builds_no_pool():
+    src = str(Path(hsdual.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUILDS_NO_POOL.format(src=src)], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 # --- cached hash and repr -------------------------------------------------------

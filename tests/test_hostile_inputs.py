@@ -9,6 +9,7 @@ the Hermiticity residual once, inside hermitian_eig.
 
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,3 +263,44 @@ def test_r_iso_sa_pos_refuses_what_r_iso_pos_sa_refuses(a):
 def test_c_iso_b_sa_refuses_a_scalar_that_is_not_a_finite_number(z):
     with pytest.raises(NotHermitian, match="finite number"):
         c_iso_b_sa(z)
+
+
+# --- exact scalars beyond the float range -------------------------------------
+#
+# An int or Fraction compares below math.inf however large it is, but float()
+# of it overflows; each iso names it with its documented error instead.
+
+BEYOND_FLOATS = 10**400
+
+
+@pytest.mark.parametrize("a", [BEYOND_FLOATS, Fraction(BEYOND_FLOATS, 3)], ids=["int", "Fraction"])
+def test_r_iso_sa_pos_refuses_an_exact_scalar_beyond_the_float_range(a):
+    with pytest.raises(NotPositive, match="finite real"):
+        r_iso_sa_pos(a)
+
+
+@pytest.mark.parametrize(
+    "p", [Difference(BEYOND_FLOATS, 0.0), Difference(0.0, BEYOND_FLOATS)], ids=["pos", "neg"]
+)
+def test_r_iso_pos_sa_refuses_a_component_beyond_the_float_range(p):
+    with pytest.raises(NotPositive, match="finite nonnegative"):
+        r_iso_pos_sa(p)
+
+
+def test_c_iso_b_sa_refuses_an_exact_scalar_beyond_the_float_range():
+    with pytest.raises(NotHermitian, match="finite number"):
+        c_iso_b_sa(BEYOND_FLOATS)
+
+
+@pytest.mark.parametrize(
+    "pair", [ComplexPair(BEYOND_FLOATS, 0), ComplexPair(0, BEYOND_FLOATS)], ids=["re", "im"]
+)
+def test_c_iso_sa_b_refuses_a_component_beyond_the_float_range(pair):
+    with pytest.raises(NotHermitian, match="finite real"):
+        c_iso_sa_b(pair)
+
+
+def test_an_int_too_long_to_print_is_named_by_its_type():
+    # repr refuses an int of more than 4,300 digits with a ValueError
+    with pytest.raises(NotPositive, match="^scalar <int, too long to show> is not a finite real"):
+        r_iso_sa_pos(10**5000)
