@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 from typing import Any, Callable, Iterable, Iterator
 
@@ -407,14 +408,15 @@ def monad_law_suite() -> dict:
     themselves are evaluated on every call through the module-level
     ``unit``, ``fmap`` and ``flatten``, so a replaced ``unit`` or
     ``flatten`` is seen.  Within one configuration of one call each value is
-    computed once: ``unit(x)`` per carrier key, the unit laws per distinct
-    grid sum and the associativity law per distinct double sum (sums over a
-    smaller carrier recur over the larger ones), and ``flatten`` per
-    distinct sum of grid sums, whether it is an inner sum of a double sum or
-    an intermediate of either side of the law.  A recurring sum still
-    counts, and records its violations, every time it occurs.  No verdict or
-    ``flatten`` result outlives its configuration; the kept pools are inputs
-    to the laws, not results of them.
+    computed once, by ``functools.cache`` closures built per configuration:
+    ``unit(x)`` per carrier key, the unit laws per distinct grid sum and the
+    associativity law per distinct double sum (sums over a smaller carrier
+    recur over the larger ones), and ``flatten`` per distinct sum of grid
+    sums, whether it is an inner sum of a double sum or an intermediate of
+    either side of the law.  A recurring sum still counts, and records its
+    violations, every time it occurs.  No verdict or ``flatten`` result
+    outlives its configuration; the kept pools are inputs to the laws, not
+    results of them.
     """
     checked = 0
     skipped = 0
@@ -456,35 +458,30 @@ def _monad_laws_for(semiring: Semiring, distribution: bool) -> tuple[int, int, l
     checked = 0
     skipped = 0
     violations: list[dict] = []
-    units: dict = {}  # carrier key -> unit(key)
-    flats: dict = {}  # sum of grid sums -> its flatten
-    unit_laws: dict = {}  # grid sum -> (outer law fails, inner law fails)
-    assoc: dict = {}  # double sum -> associativity fails, or None when skipped
+    # per-configuration memos; an overflow raised inside flat is not stored
+    unit_of = cache(lambda x: unit(x, semiring, distribution))
+    flat = cache(flatten)
+
+    @cache
+    def unit_laws(s: FormalSum) -> tuple[bool, bool]:
+        """(outer law fails, inner law fails) for grid sum s."""
+        return flatten(unit(s, semiring, distribution)) != s, flatten(fmap(unit_of, s)) != s
+
+    @cache
+    def assoc_fails(t: FormalSum) -> bool | None:
+        """Whether associativity fails for double sum t; None when skipped."""
+        try:
+            return flat(flatten(t)) != flat(fmap(flat, t))
+        except CoefficientOverflow:
+            return None
 
     def record(law: str, culprit: FormalSum) -> None:
         violations.append({"semiring": semiring.value, "law": law, "sum": repr(culprit)})
 
-    def unit_of(x) -> FormalSum:
-        u = units.get(x)
-        if u is None:
-            u = units[x] = unit(x, semiring, distribution)
-        return u
-
-    def flat(ss: FormalSum) -> FormalSum:
-        out = flats.get(ss)
-        if out is None:  # an overflow is not stored and recurs on every call
-            out = flats[ss] = flatten(ss)
-        return out
-
     for size in range(1, MONAD_MAX_CARRIER + 1):
         level1, level3 = _monad_pools(semiring, distribution, size)
         for s in level1:
-            if s not in unit_laws:
-                unit_laws[s] = (
-                    flatten(unit(s, semiring, distribution)) != s,
-                    flatten(fmap(unit_of, s)) != s,
-                )
-            outer_fails, inner_fails = unit_laws[s]
+            outer_fails, inner_fails = unit_laws(s)
             checked += 1
             if outer_fails:
                 record("flatten-unit-outer", s)
@@ -492,12 +489,7 @@ def _monad_laws_for(semiring: Semiring, distribution: bool) -> tuple[int, int, l
                 record("flatten-unit-inner", s)
 
         for t in level3:
-            if t not in assoc:
-                try:
-                    assoc[t] = flat(flatten(t)) != flat(fmap(flat, t))
-                except CoefficientOverflow:
-                    assoc[t] = None
-            fails = assoc[t]
+            fails = assoc_fails(t)
             if fails is None:
                 skipped += 1
                 continue

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _STACK_ENTRIES, DEFAULT_TOL, DimensionMismatch
+from .linalg import _STACK_ENTRIES, DEFAULT_TOL, DimensionMismatch, _is_dim
 from .linalg import as_matrix, dagger, hermitian_part
 from .operators import OperatorKind, in_kind
 
@@ -279,7 +279,10 @@ def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> n
     names the worst residual.  If A is not in ``kind`` (in_kind), NotInKind is
     raised -- that signals f was not induced by any operator of this kind;
     only the positive, effect and density kinds pay an eigensolve for it.
-    In all, 16 + dim^2 evaluations (17 + dim^2 for density).
+    In all, 16 + dim^2 evaluations (17 + dim^2 for density).  KindMismatch
+    is raised first, without an evaluation, if ``kind`` has no trace
+    pairing, if f is tagged with another kind, or if f.dim is not an integer
+    >= 1 (a bool is not).
 
     A spot value beyond the float range (inf or NaN, as when an operator
     with entries near 1e308 pairs with a probe) is a ContractViolation that
@@ -291,8 +294,8 @@ def hs_inverse(kind: OperatorKind, f: Functional, tol: float = DEFAULT_TOL) -> n
         raise KindMismatch(f"kind {kind} has no trace pairing")
     if f.kind != kind:
         raise KindMismatch(f"functional is tagged {f.kind.value}, not {kind.value}")
-    if f.dim < 1:
-        raise KindMismatch("functional must carry a positive dimension")
+    if not _is_dim(f.dim):
+        raise KindMismatch("functional must carry a positive dimension (an int)")
     probes, values = _spot_check(f, tol)
     A = _reconstruct(f)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails below

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -371,9 +372,6 @@ class LawReport:
 
 _EXHAUSTIVE_CAP = 40
 
-#: marks a pair sum not yet computed (None means "undefined")
-_MISSING = object()
-
 
 def checks_exhaustively(inst: EffectInstance) -> bool:
     """Whether ``law_suite`` checks every element of ``inst``'s carrier.
@@ -489,7 +487,8 @@ def law_suite(
     per run and shared by every law that needs it, so an exhaustive pool of
     n elements costs at most n² pair sums.  Likewise orth(x) and
     x (+) orth(x) are computed once per pool element and shared by both
-    orthosupplement laws.  These values live for one call; nothing is
+    orthosupplement laws.  These values are held by two ``functools.cache``
+    closures built on each call, so they live for one call; nothing is
     cached across calls.  Associativity holds vacuously where y (+) z is
     undefined, so an exhaustive pool without ``stacked`` visits only the
     triples (x, y, z) with y (+) z defined, read off a table of all n²
@@ -528,23 +527,15 @@ def law_suite(
         pairs = draws[: 2 * samples].reshape(-1, 2)
         triples = draws[2 * samples :].reshape(-1, 3)
 
-    elements = [*pool, *[_MISSING] * n]
-
+    @cache
     def element(i: int):
-        """pool[i], or orth(pool[i - n]) computed once per run."""
-        x = elements[i]
-        if x is _MISSING:
-            x = elements[i] = inst.orth(pool[i - n])
-        return x
+        """pool[i], or orth(pool[i - n]), computed once per run."""
+        return pool[i] if i < n else inst.orth(pool[i - n])
 
-    sums: dict = {}
-
+    @cache
     def pair_sum(i: int, j: int):
         """element(i) (+) element(j), computed once per run."""
-        s = sums.get((i, j), _MISSING)
-        if s is _MISSING:
-            s = sums[i, j] = inst.ovee(element(i), element(j))
-        return s
+        return inst.ovee(element(i), element(j))
 
     d = inst.describe
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -30,6 +31,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    DimensionMismatch,
     LinalgError,
     NotHermitian,
     approx_eq,
@@ -80,6 +82,33 @@ def _finite(x):
     return x
 
 
+@contextmanager
+def _float_range():
+    """NumPy's overflow warnings off, and the OverflowError of an int or
+    Fraction beyond the float range meeting a float raised as LinalgError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except OverflowError:
+            raise LinalgError("a result is beyond the float range") from None
+
+
+def _one_shape(*parts) -> None:
+    """DimensionMismatch unless the parts share one shape, a scalar's being
+    (); NumPy would broadcast a (1, 1) or scalar part against a matrix."""
+    shapes = [getattr(x, "shape", ()) for x in parts]
+    if any(shape != shapes[0] for shape in shapes):
+        raise DimensionMismatch(f"shape mismatch: {' vs '.join(map(str, shapes))}")
+
+
+def _weight(w) -> float:
+    """float(w), or ValueError if w is beyond the float range."""
+    try:
+        return float(w)
+    except OverflowError:
+        raise ValueError(f"weight {_shown(w)} is beyond the float range") from None
+
+
 # --- weighted points over a convex carrier -----------------------------------
 
 
@@ -88,7 +117,8 @@ class WeightedPoint:
     """Zero, or a strictly positive finite weight on a carrier point.
 
     The zero element is the unique instance with weight 0 (and point None).
-    A weight that is negative, infinite or NaN raises ValueError.
+    A weight that is negative, infinite, NaN or beyond the float range (an
+    int or Fraction) raises ValueError.
     """
 
     weight: float
@@ -99,8 +129,9 @@ class WeightedPoint:
         return self.weight == 0.0
 
     def __post_init__(self):
-        if not 0 <= self.weight < math.inf:  # written so that a NaN weight fails
-            raise ValueError(f"weights must be finite and nonnegative, got {self.weight!r}")
+        # written so that a NaN weight fails
+        if not (0 <= self.weight < math.inf and _fits_float(self.weight)):
+            raise ValueError(f"weights must be finite and nonnegative, got {_shown(self.weight)}")
         if self.weight == 0 and self.point is not None:
             raise ValueError("the zero element carries no point; use s_zero()")
         if self.weight > 0 and self.point is None:
@@ -112,21 +143,24 @@ def s_zero() -> WeightedPoint:
 
 
 def s_point(weight: float, point) -> WeightedPoint:
+    """ValueError unless the weight is positive and within the float range."""
     if not weight > 0:
         raise ValueError("s_point needs a strictly positive weight")
-    return WeightedPoint(float(weight), point)
+    return WeightedPoint(_weight(weight), point)
 
 
 def s_add(u: WeightedPoint, v: WeightedPoint) -> WeightedPoint:
     """Add weights; the points combine convexly in proportion to them,
     r*x + (1-r)*y with r = u.weight / total (matrices and scalars).
 
-    ValueError if the total weight is beyond the float range.
+    ValueError if the total weight is beyond the float range, and
+    DimensionMismatch if the two points differ in shape.
     """
     if u.is_zero:
         return v
     if v.is_zero:
         return u
+    _one_shape(u.point, v.point)
     # Python floats overflow to inf without the warning a NumPy weight would
     # raise, and WeightedPoint refuses an infinite total
     w = float(u.weight)
@@ -136,12 +170,13 @@ def s_add(u: WeightedPoint, v: WeightedPoint) -> WeightedPoint:
 
 
 def s_smul(r: float, u: WeightedPoint) -> WeightedPoint:
-    """Scale the weight by r >= 0; ValueError if it goes beyond the float range."""
+    """Scale the weight by r >= 0; ValueError if r or the scaled weight is
+    beyond the float range."""
     if not r >= 0:
         raise ValueError("the scalar action admits nonnegative scalars only")
     if r == 0 or u.is_zero:
         return s_zero()
-    return WeightedPoint(float(r) * float(u.weight), u.point)
+    return WeightedPoint(_weight(r) * float(u.weight), u.point)
 
 
 def s_iso_dm_pos(u: WeightedPoint, dim: int) -> np.ndarray:
@@ -199,18 +234,31 @@ def r_equiv(p: Difference, q: Difference, tol: float = DEFAULT_TOL) -> bool:
     The cross sums are formed halved, p1/2 + n2/2 and p2/2 + n1/2, which
     finite entries cannot overflow, and judged at tol/2, as loewner_leq
     does; halving is exact for normal floats, so the verdict is that of the
-    full sums at tol.
+    full sums at tol.  An int or Fraction part beyond the float range is
+    compared exactly with a finite float one, and is never within tol of an
+    infinite or NaN one.  DimensionMismatch unless the four parts share one
+    shape.
     """
-    a = _half(p.pos) + _half(q.neg)
-    b = _half(q.pos) + _half(p.neg)
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return approx_eq(np.asarray(a), np.asarray(b), tol / 2)
-    return abs(a - b) <= tol / 2
+    _one_shape(p.pos, p.neg, q.pos, q.neg)
+    try:
+        a = _half(p.pos) + _half(q.neg)
+        b = _half(q.pos) + _half(p.neg)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return approx_eq(np.asarray(a), np.asarray(b), tol / 2)
+        return abs(a - b) <= tol / 2
+    except OverflowError:  # an exact part beyond the float range met a float
+        try:
+            a, b = (Fraction(x) + Fraction(y) for x, y in ((p.pos, q.neg), (q.pos, p.neg)))
+        except (OverflowError, ValueError):  # Fraction of an infinity or a NaN
+            return False
+        return abs(a - b) <= tol
 
 
 def r_add(p: Difference, q: Difference) -> Difference:
-    """Componentwise sum; LinalgError if a component is beyond the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Componentwise sum; DimensionMismatch unless the four components share
+    one shape, and LinalgError if a component is beyond the float range."""
+    _one_shape(p.pos, p.neg, q.pos, q.neg)
+    with _float_range():
         return Difference(_finite(p.pos + q.pos), _finite(p.neg + q.neg))
 
 
@@ -223,7 +271,7 @@ def r_smul(r: float, p: Difference) -> Difference:
 
     LinalgError if a component is beyond the float range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _float_range():
         if r >= 0:
             return Difference(_finite(r * p.pos), _finite(r * p.neg))
         return Difference(_finite((-r) * p.neg), _finite((-r) * p.pos))
@@ -239,9 +287,14 @@ def _check_positive(x, tol: float) -> None:
 
 
 def r_iso_pos_sa(p: Difference, tol: float = DEFAULT_TOL):
-    """Differences of positives realize the self-adjoint family: subtract."""
+    """Differences of positives realize the self-adjoint family: subtract.
+
+    NotPositive unless both components are positive (matrices) or finite
+    nonnegative numbers, then DimensionMismatch unless they share one shape.
+    """
     _check_positive(p.pos, tol)
     _check_positive(p.neg, tol)
+    _one_shape(p.pos, p.neg)
     return p.pos - p.neg
 
 
@@ -273,13 +326,21 @@ class ComplexPair:
 
 
 def c_add(p: ComplexPair, q: ComplexPair) -> ComplexPair:
-    return ComplexPair(p.re + q.re, p.im + q.im)
+    """Componentwise sum; DimensionMismatch unless the four parts share one
+    shape, and LinalgError if a part is beyond the float range."""
+    _one_shape(p.re, p.im, q.re, q.im)
+    with _float_range():
+        return ComplexPair(_finite(p.re + q.re), _finite(p.im + q.im))
 
 
 def c_smul(z: complex, p: ComplexPair) -> ComplexPair:
-    """(a + bi) . (x, y) = (a x - b y, b x + a y)."""
+    """(a + bi) . (x, y) = (a x - b y, b x + a y).
+
+    LinalgError if a part is beyond the float range.
+    """
     a, b = z.real, z.imag
-    return ComplexPair(a * p.re - b * p.im, b * p.re + a * p.im)
+    with _float_range():
+        return ComplexPair(_finite(a * p.re - b * p.im), _finite(b * p.re + a * p.im))
 
 
 def _check_sa(x, tol: float) -> None:
@@ -292,9 +353,14 @@ def _check_sa(x, tol: float) -> None:
 
 
 def c_iso_sa_b(p: ComplexPair, tol: float = DEFAULT_TOL):
-    """Pairs of self-adjoints realize all bounded operators: re + i*im."""
+    """Pairs of self-adjoints realize all bounded operators: re + i*im.
+
+    NotHermitian unless both parts are self-adjoint (matrices) or finite
+    real numbers, then DimensionMismatch unless they share one shape.
+    """
     _check_sa(p.re, tol)
     _check_sa(p.im, tol)
+    _one_shape(p.re, p.im)
     return p.re + 1j * p.im
 
 

@@ -20,6 +20,7 @@ decomposition is for callers that rebuild operators from the eigenpairs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,12 @@ class NotHermitian(LinalgError):
 
 class NoConvergence(LinalgError):
     """The Jacobi iteration exhausted its sweep budget."""
+
+
+def _is_dim(n) -> bool:
+    """Whether n is a dimension: an integer >= 1 (a ``numbers.Integral``,
+    so a NumPy integer too, but not a bool)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
 
 def as_matrix(data) -> np.ndarray:

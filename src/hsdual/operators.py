@@ -31,8 +31,10 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    DimensionMismatch,
     LinalgError,
     NotHermitian,
+    _is_dim,
     as_matrix,
     hermitian_eig,
     hermitian_part,
@@ -168,13 +170,18 @@ def sa_components(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Loewner order: A <= B iff B - A has no eigenvalue below -tol.
 
-    NotHermitian if B - A is not self-adjoint within tol.  The difference
-    is formed as B/2 - A/2, which finite entries cannot overflow, and judged
-    at tol/2.  Halving is exact for normal floats, so the verdict is that of
+    NotHermitian if B - A is not self-adjoint within tol, and
+    DimensionMismatch if A and B differ in shape.  The difference is formed
+    as B/2 - A/2, which finite entries cannot overflow, and judged at
+    tol/2.  Halving is exact for normal floats, so the verdict is that of
     B - A at tol; only a tol below 2e-12 tightens the solver's convergence
     target.
     """
-    dec = hermitian_eig(as_matrix(B) / 2 - as_matrix(A) / 2, tol / 2, vectors=False)
+    B = as_matrix(B)
+    A = as_matrix(A)
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
+    dec = hermitian_eig(B / 2 - A / 2, tol / 2, vectors=False)
     return float(dec.eigenvalues[-1]) >= -tol / 2
 
 
@@ -250,10 +257,11 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
     positive: G G^dagger normalized to unit max-norm; density: positive
     renormalized to unit trace; effect: self-adjoint with the spectrum mapped
     affinely onto [0, 1]; projection: a random-rank sum of sampled
-    orthonormal column projectors.
+    orthonormal column projectors.  ValueError unless dim is an integer
+    >= 1 and kind an OperatorKind.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if not _is_dim(dim):
+        raise ValueError("dim must be an integer >= 1")
     if kind == OperatorKind.PROJECTION:
         return _projection_pool(dim, [seed])[0]
     rng = np.random.default_rng(seed)

@@ -178,6 +178,16 @@ _LAWS_STDOUT_SHA256 = {
         "d6843a54ac08b1403f0f4b73f43ea01d5782e74270b6fd9db4996ca8f5077d95",
         "d6843a54ac08b1403f0f4b73f43ea01d5782e74270b6fd9db4996ca8f5077d95",
     ),
+    "laws --instance effects --dim 2 --samples 40": (
+        "448d0ebbac06f93ef89d5e9129fb1f942fb3d382754a566a851f6a6fa5d0a357",
+        "92b1bdcdb27c0f50b105566a036905c4da2888a906efd9f8b2bbe347537d1535",
+        "1f56c58cb75e30d27b30c2c8455bb971f6195771d2a20d2bd918438cd94d5222",
+    ),
+    "laws --instance effects --dim 3 --samples 200": (
+        "4c97722bb25af910e2cdb0df22fbd69f4625836fff6efc3cee7d67a9fae334f3",
+        "454e822e71f81f70b79b8a7d8cb4f35f7b50fc1187b39762ee06c44a419e23fa",
+        "cf1e6bd5ccab3807493a752b578d64fd714f2148fa811863c8dd89c575e76e6a",
+    ),
     "laws --instance interval": (
         "9ba90bf2879b9067989be4b344f1827d6bf905b4007893018138b36ee559e67a",
         "230ab2edfcb311bc991058d10bde100312069a9111dccaa6552d637c1fd7f06a",

@@ -834,3 +834,40 @@ def test_a_replaced_ovee_on_an_exact_instance_is_checked_per_element(make, k):
     report = law_suite(planted, samples=20)
     assert not report.entry("zero-unit").passed
     assert report == law_suite(replace(planted, stacked=None), samples=20)
+
+
+# --- report lookup, a planted scalar bug, per-call memos ----------------------
+
+
+def test_law_report_entry_of_an_unknown_law_is_a_key_error():
+    with pytest.raises(KeyError, match="no-such-law"):
+        law_suite(make_powerset(2)).entry("no-such-law")
+
+
+def test_a_planted_scalar_unit_bug_is_worded():
+    # 1 . x = orth(x), which differs from x at x = 0 first
+    bad = replace(make_unit_interval(2), scalar_mul=lambda r, x: 1 - x if r == 1 else r * x)
+    entry = law_suite(bad).entry("scalar-unit")
+    assert (entry.passed, entry.checked) == (False, 1)
+    assert entry.counterexample == "1 . x != x for x = 0"
+
+
+def test_law_suite_memos_live_for_one_call():
+    # each ordered pair is summed, and each orth(x) taken, once per call:
+    # a second call pays the same again, and nothing more
+    good = make_effects(2)
+    calls = {"ovee": 0, "orth": 0}
+
+    def ovee(x, y):
+        calls["ovee"] += 1
+        return good.ovee(x, y)
+
+    def orth(x):
+        calls["orth"] += 1
+        return good.orth(x)
+
+    counted = replace(good, ovee=ovee, orth=orth, stacked=None)
+    for _ in range(2):
+        calls.update(ovee=0, orth=0)
+        assert law_suite(counted, samples=200, seed=3).all_pass
+        assert calls == {"ovee": 1692, "orth": 202}

@@ -14,6 +14,7 @@ from hsdual.duality import Functional, KindMismatch, hs_inverse, naturality_chec
 from hsdual.free import WeightedPoint, s_iso_dm_pos
 from hsdual.linalg import DimensionMismatch, as_matrix, identity
 from hsdual.operators import OperatorKind
+from hsdual.operators import sample
 from hsdual.wp import InvalidChannel, mixture_channel, super_channel, unitary_channel
 
 
@@ -61,3 +62,26 @@ def test_wp_cli_refuses_an_unknown_channel_type(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "unknown channel type 'bogus'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, dim", [(OperatorKind.EFFECT, 2.5), (OperatorKind.DENSITY, True)], ids=["float", "bool"]
+)
+def test_hs_inverse_refuses_a_functional_whose_dimension_is_no_integer(kind, dim):
+    with pytest.raises(KindMismatch, match="positive dimension"):
+        hs_inverse(kind, Functional(kind, dim, lambda B: 1.0))
+
+
+@pytest.mark.parametrize("dim", [2.0, False, "2"], ids=["float", "bool", "str"])
+def test_sample_refuses_a_dimension_that_is_no_integer(dim):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        sample(OperatorKind.DENSITY, dim, 0)
+
+
+def test_sample_takes_a_numpy_integer_dimension():
+    assert sample(OperatorKind.DENSITY, np.int64(2), 0).shape == (2, 2)
+
+
+def test_sample_refuses_what_is_not_an_operator_kind():
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        sample("Density", 2, 0)

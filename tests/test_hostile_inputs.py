@@ -29,6 +29,8 @@ from hsdual.free import (
     s_smul,
 )
 from hsdual.free import WeightedPoint, c_iso_b_sa, r_add, r_iso_sa_pos, r_smul, s_iso_dm_pos
+from hsdual.free import c_add, c_smul
+from hsdual.linalg import DimensionMismatch
 from hsdual.linalg import LinalgError, NotHermitian, approx_eq, identity, is_hermitian
 from hsdual.operators import (
     NotPositive,
@@ -304,3 +306,78 @@ def test_an_int_too_long_to_print_is_named_by_its_type():
     # repr refuses an int of more than 4,300 digits with a ValueError
     with pytest.raises(NotPositive, match="^scalar <int, too long to show> is not a finite real"):
         r_iso_sa_pos(10**5000)
+
+
+# --- operands of mismatched shape ---------------------------------------------
+#
+# NumPy would broadcast a (1, 1) matrix or a scalar against an n x n one; each
+# entry point refuses the pair as approx_eq does.
+
+ONE, THREE = identity(1), identity(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: loewner_leq(np.zeros((1, 1)), np.eye(3)),
+        lambda: r_iso_pos_sa(Difference(np.eye(1), np.zeros((3, 3)))),
+        lambda: r_iso_pos_sa(Difference(np.eye(2), 1.0)),
+        lambda: c_iso_sa_b(ComplexPair(THREE, ONE)),
+        lambda: c_iso_sa_b(ComplexPair(0.5, identity(2))),
+        lambda: r_equiv(Difference(THREE, 0 * THREE), Difference(THREE, 0 * ONE)),
+        lambda: r_add(Difference(THREE, THREE), Difference(ONE, ONE)),
+        lambda: c_add(ComplexPair(THREE, THREE), ComplexPair(ONE, ONE)),
+        lambda: s_add(s_point(1.0, THREE / 3), s_point(1.0, ONE)),
+    ],
+    ids=[
+        "loewner_leq", "r_iso_pos_sa-1x1", "r_iso_pos_sa-scalar", "c_iso_sa_b-1x1",
+        "c_iso_sa_b-scalar", "r_equiv", "r_add", "c_add", "s_add",
+    ],
+)
+def test_operands_of_mismatched_shape_are_refused(call):
+    with pytest.raises(DimensionMismatch, match="shape mismatch"):
+        call()
+
+
+def test_a_component_check_comes_before_the_shape_check():
+    # a non-positive 1 x 1 part is named as such, whatever the other part's shape
+    with pytest.raises(NotPositive):
+        r_iso_pos_sa(Difference(-ONE, THREE))
+    with pytest.raises(NotHermitian):
+        c_iso_sa_b(ComplexPair(THREE, mat([[0, 1], [0, 0]])))
+    with pytest.raises(DimensionMismatch):  # as_matrix's own refusal of a non-square A
+        loewner_leq(np.zeros((1, 2)), THREE)
+
+
+# --- ints beyond the float range in the free arithmetic -------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: r_smul(0.5, Difference(BEYOND_FLOATS, 0)), LinalgError),
+        (lambda: r_add(Difference(BEYOND_FLOATS, 0), Difference(0.5, 0.0)), LinalgError),
+        (lambda: c_smul(1j, ComplexPair(BEYOND_FLOATS, 0)), LinalgError),
+        (lambda: c_add(ComplexPair(BEYOND_FLOATS, 0), ComplexPair(0.5, 0)), LinalgError),
+        (lambda: s_point(BEYOND_FLOATS, 1.0), ValueError),
+        (lambda: s_smul(BEYOND_FLOATS, s_point(1.0, 1.0)), ValueError),
+        (lambda: WeightedPoint(BEYOND_FLOATS, 1.0), ValueError),
+    ],
+    ids=["r_smul", "r_add", "c_smul", "c_add", "s_point", "s_smul", "WeightedPoint"],
+)
+def test_free_arithmetic_names_an_int_beyond_the_float_range(call, error):
+    with pytest.raises(error, match="float range|finite"):
+        call()
+
+
+def test_c_smul_refuses_a_matrix_product_beyond_the_float_range():
+    with pytest.raises(LinalgError, match="float range"):
+        c_smul(1e308 + 1e308j, ComplexPair(HUGE, HUGE))
+
+
+def test_r_equiv_judges_an_int_beyond_the_float_range_exactly():
+    assert not r_equiv(Difference(BEYOND_FLOATS, 0), Difference(0.5, 0))
+    assert not r_equiv(Difference(BEYOND_FLOATS, 0.0), Difference(0.5, 0.0))
+    assert r_equiv(Difference(BEYOND_FLOATS, 0.5), Difference(BEYOND_FLOATS + Fraction(1, 2), 1.0))
+    assert not r_equiv(Difference(BEYOND_FLOATS, 0), Difference(np.inf, 0))
+    assert not r_equiv(Difference(BEYOND_FLOATS, 0), Difference(np.nan, 0))
