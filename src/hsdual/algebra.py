@@ -116,17 +116,20 @@ def _coerce(semiring: Semiring, value) -> Fraction | QC:
     Range checks compare the normalized numerator and (positive) denominator
     as integers rather than through Fraction's rich comparison.
     """
-    if semiring is Semiring.COMPLEX_RATIONAL:
+    try:
+        if semiring is Semiring.COMPLEX_RATIONAL:
+            if isinstance(value, QC):
+                return value
+            if isinstance(value, complex):
+                return QC(Fraction(value.real), Fraction(value.imag))
+            return QC(Fraction(value), Fraction(0))
         if isinstance(value, QC):
-            return value
-        if isinstance(value, complex):
-            return QC(Fraction(value.real), Fraction(value.imag))
-        return QC(Fraction(value), Fraction(0))
-    if isinstance(value, QC):
-        if value.im != 0:
-            raise ValueError(f"coefficient {value!r} is not real for {semiring.value}")
-        value = value.re
-    coeff = value if type(value) is Fraction else Fraction(value)
+            if value.im != 0:
+                raise ValueError(f"coefficient {value!r} is not real for {semiring.value}")
+            value = value.re
+        coeff = value if type(value) is Fraction else Fraction(value)
+    except (TypeError, OverflowError):  # Fraction refuses None, a list, an infinity
+        raise ValueError(f"coefficient {value!r} is not a rational number") from None
     if semiring is Semiring.NONNEG_RATIONAL and coeff.numerator < 0:
         raise ValueError(f"coefficient {coeff} negative in {semiring.value}")
     if semiring is Semiring.UNIT_INTERVAL and not 0 <= coeff.numerator <= coeff.denominator:
@@ -216,7 +219,9 @@ def formal_sum(
     """Build a formal sum, merging duplicate keys and dropping zeros.
 
     With ``distribution=True`` (unit-interval coefficients only) the
-    coefficients must add up to exactly 1.
+    coefficients must add up to exactly 1.  A coefficient that ``Fraction``
+    refuses (None, a list, an infinity, NaN), or a negative one over the
+    nonnegative rationals, raises ValueError.
     """
     if distribution and semiring is not Semiring.UNIT_INTERVAL:
         raise NotDistribution("the distribution flag requires unit-interval coefficients")

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import _STACK_ENTRIES, DEFAULT_TOL, approx_eq, identity, zeros
+from .linalg import _STACK_ENTRIES, DEFAULT_TOL, _is_dim, approx_eq, identity, zeros
 from .operators import OperatorKind, _projection_pool, loewner_leq, sample, sample_unitary
 
 
@@ -122,7 +122,7 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
     no ``stacked``.  Encoding an element outside the carrier, say one drawn
     by a replaced ``sampler``, raises ValueError.
     """
-    if max_denominator < 1:
+    if not _is_dim(max_denominator):
         raise ValueError("unit-interval instances need max_denominator >= 1")
     universe = tuple(
         sorted(
@@ -188,7 +188,7 @@ def make_powerset(size: int) -> EffectInstance:
     defined when X & Y is empty, and the orthosupplement is the complement
     mask.  Encoding a set outside the carrier raises ValueError.
     """
-    if not (1 <= size <= 16):
+    if not (_is_dim(size) and size <= 16):
         raise ValueError("powerset instances support sizes 1..16")
     ground = frozenset(range(size))
     full = (1 << size) - 1
@@ -245,7 +245,7 @@ def make_effects(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     order; the orthosupplement is I - A; scalars act by plain multiplication.
     ``dim`` must be at least 1 (ValueError otherwise).
     """
-    if dim < 1:
+    if not _is_dim(dim):
         raise ValueError("effect-operator instances need dim >= 1")
     one = identity(dim)
 
@@ -289,7 +289,7 @@ def make_projections(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     ``sample(PROJECTION, dim, seed)`` bit for bit, and an even seed a column
     subset of the shared basis.
     """
-    if dim < 1:
+    if not _is_dim(dim):
         raise ValueError("projection instances need dim >= 1")
     one = identity(dim)
     # Half the samples project onto subsets of a fixed orthonormal basis, so
@@ -387,7 +387,7 @@ def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[Sequen
     ``stacked.sample`` is a read-only (samples + 2, n, n) stack."""
     if checks_exhaustively(inst):
         return list(inst.universe), True
-    if samples < 1:
+    if not _is_dim(samples):
         raise ValueError(f"a sampled law check needs samples >= 1, got {samples}")
     if inst.stacked is not None and inst.stacked.sample is not None:
         drawn = inst.stacked.sample(range(seed, seed + samples))

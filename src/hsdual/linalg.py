@@ -70,7 +70,10 @@ def _is_dim(n) -> bool:
 
 def as_matrix(data) -> np.ndarray:
     """Coerce to a square complex128 matrix, validating shape and finiteness."""
-    A = np.asarray(data, dtype=np.complex128)
+    try:
+        A = np.asarray(data, dtype=np.complex128)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("matrix entries must be finite") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
@@ -318,7 +321,7 @@ def matrix_from_json(obj) -> np.ndarray:
     except KeyError as exc:
         raise ValueError(f"malformed matrix JSON: missing {exc}") from exc
     dim = int_from_json(dim, "matrix JSON dim")
-    if dim < 1:
+    if not _is_dim(dim):
         raise ValueError("matrix JSON must have dim >= 1")
     return as_matrix(entries_from_json(data, dim * dim, "matrix JSON").reshape(dim, dim))
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .algebra import AlgebraError, Semiring, convex_state_carrier, formal_sum, interpret
 from .duality import DualityError, Functional, hs_inverse
-from .linalg import DEFAULT_TOL, as_matrix, hermitian_part, identity, is_hermitian, max_norm
+from .linalg import DEFAULT_TOL, _is_dim, as_matrix, hermitian_part, identity, is_hermitian, max_norm
 from .operators import OperatorKind, in_kind
 
 
@@ -209,8 +209,8 @@ def super_channel(
     still passes, and every rejection names the first failing sample.
     Complete positivity is not demanded.
     """
-    if dim_in < 1 or dim_out < 1:
-        raise InvalidChannel(f"channel dimensions must be >= 1, got {dim_in} -> {dim_out}")
+    if not (_is_dim(dim_in) and _is_dim(dim_out)):
+        raise InvalidChannel(f"channel dimensions must be >= 1, got {dim_in!r} -> {dim_out!r}")
     M = np.asarray(matrix, dtype=np.complex128)
     if M.shape != (dim_out * dim_out, dim_in * dim_in):
         raise InvalidChannel(

@@ -129,6 +129,15 @@ def test_coefficient_validation_accepts_the_bounds():
     assert flatten(FormalSum(UI, ((unit("x", UI), Fraction(1)),))) == unit("x", UI)
 
 
+@pytest.mark.parametrize("semiring", [R, NN, CX, UI], ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "coeff", [None, [1], float("inf"), complex(1, float("inf"))], ids=["None", "list", "inf", "inf-imag"]
+)
+def test_a_coefficient_fraction_refuses_raises_value_error(semiring, coeff):
+    with pytest.raises(ValueError, match="not a rational number"):
+        formal_sum(semiring, [("x", coeff)])
+
+
 def test_nonneg_semiring_rejects_negative():
     with pytest.raises(ValueError):
         formal_sum(NN, [("x", -1)])

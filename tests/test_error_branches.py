@@ -11,6 +11,7 @@ import pytest
 
 from hsdual.cli import main
 from hsdual.duality import Functional, KindMismatch, hs_inverse, naturality_check
+from hsdual.effect import law_suite, make_effects, make_powerset, make_projections, make_unit_interval
 from hsdual.free import WeightedPoint, s_iso_dm_pos
 from hsdual.linalg import DimensionMismatch, as_matrix, identity
 from hsdual.operators import OperatorKind
@@ -85,3 +86,40 @@ def test_sample_takes_a_numpy_integer_dimension():
 def test_sample_refuses_what_is_not_an_operator_kind():
     with pytest.raises(ValueError, match="unknown operator kind"):
         sample("Density", 2, 0)
+
+
+_HALF = WeightedPoint(1.0, identity(2) / 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_effects(2.5),
+        lambda: make_projections(True),
+        lambda: make_powerset(2.5),
+        lambda: make_powerset("3"),
+        lambda: make_unit_interval(2.5),
+        lambda: law_suite(make_effects(2), samples=2.5),
+        lambda: law_suite(make_projections(2), samples=True),
+        lambda: s_iso_dm_pos(_HALF, 2.0),
+        lambda: s_iso_dm_pos(_HALF, True),
+    ],
+    ids=[
+        "make_effects", "make_projections", "make_powerset-float", "make_powerset-str",
+        "make_unit_interval", "law_suite-float", "law_suite-bool", "s_iso_dm_pos-float",
+        "s_iso_dm_pos-bool",
+    ],
+)
+def test_a_size_that_is_no_integer_raises_the_documented_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "dim_in, dim_out, matrix",
+    [(2.0, 2, np.eye(4)), (True, True, [[1]]), ("2", 2, np.eye(4)), (2, np.float64(2), np.eye(4))],
+    ids=["float", "bool", "str", "numpy-float"],
+)
+def test_super_channel_refuses_a_dimension_that_is_no_integer(dim_in, dim_out, matrix):
+    with pytest.raises(InvalidChannel, match=">= 1"):
+        super_channel(dim_in, dim_out, matrix)

@@ -381,3 +381,23 @@ def test_r_equiv_judges_an_int_beyond_the_float_range_exactly():
     assert r_equiv(Difference(BEYOND_FLOATS, 0.5), Difference(BEYOND_FLOATS + Fraction(1, 2), 1.0))
     assert not r_equiv(Difference(BEYOND_FLOATS, 0), Difference(np.inf, 0))
     assert not r_equiv(Difference(BEYOND_FLOATS, 0), Difference(np.nan, 0))
+
+
+# --- arithmetic on components that are not numbers ------------------------------
+
+
+@pytest.mark.parametrize("x", ["a", None, [[1]], np.array(["a"])], ids=["str", "None", "nested", "str-array"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: r_add(Difference(x, 0.0), Difference(0.5, 0.0)),
+        lambda x: r_smul(0.5, Difference(0.5, x)),
+        lambda x: c_add(ComplexPair(0.5, 0.0), ComplexPair(0.5, x)),
+        lambda x: c_smul(1j, ComplexPair(x, 0.5)),
+    ],
+    ids=["r_add", "r_smul", "c_add", "c_smul"],
+)
+def test_free_arithmetic_names_a_component_that_is_no_number(call, x):
+    with pytest.raises(LinalgError, match="is neither an array of numbers nor a finite number") as exc:
+        call(x)
+    assert str(exc.value).startswith(repr(x))
