@@ -57,39 +57,26 @@ class _InputError(Exception):
     """Anything wrong with user-supplied files or flags (exit code 2)."""
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _flag_type(cast, holds, expected: str):
+    """An argparse type: ``cast`` the flag's text, refused unless ``holds`` of the value."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
+            if holds(value):
+                return value
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
-
-
-def _dim(text: str) -> int:
-    """A positive dimension n whose n x n complex matrix, 16 n^2 bytes, is addressable."""
-    value = _positive_int(text)
-    if 16 * value * value > sys.maxsize:
-        raise argparse.ArgumentTypeError(f"dimension {value} is too large to allocate")
-    return value
-
-
-def _finite_positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+_positive_int = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
+#: A positive dimension n whose n x n complex matrix, 16 n^2 bytes, is addressable.
+_dim = _flag_type(int, lambda n: 1 <= n and 16 * n * n <= sys.maxsize, "a dimension >= 1 not too large to allocate")
+_finite_positive_float = _flag_type(float, lambda x: math.isfinite(x) and x > 0.0, "a finite positive number")
 
 
 def _load_json(path: str):
@@ -139,10 +126,8 @@ def _parse_channel(obj, tol: float, seed: int) -> Super:
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
-    else:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")), flush=True)
+    compact = None if pretty else (",", ":")
+    print(json.dumps(report, sort_keys=True, indent=2 if pretty else None, separators=compact), flush=True)
 
 
 #: Seeds drawn per call to the generator; chunked draws give the same sequence.
@@ -291,16 +276,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="operator kinds, trace-pairing duality, effect algebras, "
         "free constructions, and weakest preconditions",
     )
-    parser.add_argument("--tol", type=_finite_positive_float, default=DEFAULT_TOL, help="tolerance (default 1e-9)")
-    parser.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed (default 0)")
-    parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-
-    # The same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the top level.
+    # --tol, --seed and --pretty go before or after the subcommand.  After it,
+    # SUPPRESS keeps the subparser from clobbering a value parsed before it.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_finite_positive_float, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=_nonnegative_int, default=argparse.SUPPRESS)
-    common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
+    for flag, spec in (
+        ("--tol", dict(type=_finite_positive_float, default=DEFAULT_TOL, help="tolerance (default 1e-9)")),
+        ("--seed", dict(type=_nonnegative_int, default=0, help="master seed (default 0)")),
+        ("--pretty", dict(action="store_true", default=False, help="indent the JSON report")),
+    ):
+        parser.add_argument(flag, **spec)
+        common.add_argument(flag, **{**spec, "default": argparse.SUPPRESS})
 
     sub = parser.add_subparsers(dest="command", required=True)
 

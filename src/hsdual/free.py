@@ -19,7 +19,8 @@ all reals; real pairs give the complex numbers).
 
 Arguments.  A finite number is a ``numbers.Complex`` with finite complex
 parts: not NaN, an infinity, or an int or Fraction beyond the float range.
-A NumPy scalar counts as the Python number it holds.
+A NumPy scalar counts as the Python number it holds, and an integer array
+as its float64 values, so no sum or difference wraps around.
   * ValueError: a weight (WeightedPoint, s_point, s_smul) that is not a
     finite real >= 0, a point s_add mixes that is not an ndarray of numbers
     or a finite number, or an s_iso_dm_pos dim that is no integer >= 1.
@@ -82,8 +83,10 @@ def _numbers(x) -> bool:
 
 
 def _plain(x):
-    """x, or the Python number a NumPy scalar holds, whose arithmetic
-    neither wraps an integer nor warns."""
+    """x, the Python number a NumPy scalar holds, or an integer array's
+    float64 values: arithmetic that neither wraps an integer nor warns."""
+    if isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.integer):
+        return x.astype(np.float64)
     return x.item() if isinstance(x, np.generic) else x
 
 

@@ -39,6 +39,9 @@ EIG_TOL = 1e-12
 #: rounding unit is not reachable, and chasing it overflows the rotations.
 _EIG_FLOOR = float(np.finfo(np.float64).eps)
 
+#: The smallest normal float; hermitian_eig rotates no smaller entry away.
+_TINY = float(np.finfo(np.float64).tiny)
+
 _MAX_SWEEPS = 100
 
 #: Most matrix entries in one stack of operands (1 MiB of complex128), so
@@ -69,11 +72,12 @@ def _is_dim(n) -> bool:
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce to a square complex128 matrix, validating shape and finiteness."""
+    """Coerce to a square complex128 matrix: ValueError unless every entry is
+    a finite number, DimensionMismatch unless the shape is square and nonempty."""
     try:
         A = np.asarray(data, dtype=np.complex128)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError("matrix entries must be finite") from None
+    except (OverflowError, TypeError):  # an int beyond the float range, or a dict
+        raise ValueError("matrix entries must be finite numbers") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
@@ -176,6 +180,7 @@ def _diag_mass(A: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(np.diag(A)) ** 2)))
 
 
+@np.errstate(over="ignore")  # a negligible entry's tau^2 overflows, rightly making t zero
 def hermitian_eig(
     A: np.ndarray, tol: float = DEFAULT_TOL, *, vectors: bool = True
 ) -> EigenDecomposition:
@@ -191,7 +196,8 @@ def hermitian_eig(
     the diagonal mass, so solver noise never decides a threshold at tol; the
     target is floored at machine epsilon, which a tighter tol cannot improve
     on.  If 100 sweeps do not get there, NoConvergence is raised; an
-    eigenvalue beyond the float range raises LinalgError.
+    eigenvalue beyond the float range raises LinalgError.  A scaled
+    off-diagonal entry below the smallest normal float counts as zero.
 
     With ``vectors=False`` the rotations are not accumulated into an
     eigenvector matrix and the result's ``vectors`` is None.  The rotations
@@ -220,7 +226,7 @@ def hermitian_eig(
             for q in range(p + 1, n):
                 beta = H[p, q]
                 absb = abs(beta)
-                if absb == 0.0:
+                if absb < _TINY:  # zero, or a subnormal below eps of the scaled norm
                     continue
                 app = H[p, p].real
                 aqq = H[q, q].real

@@ -134,8 +134,11 @@ def in_kind(A: np.ndarray, kind: OperatorKind, tol: float = DEFAULT_TOL) -> bool
     """Whether A belongs to ``kind`` at tol; always classify(A, tol).has(kind).
 
     Bounded, self-adjoint and projection are decided without a spectrum; only
-    positive, effect and density call hermitian_eig.
+    positive, effect and density call hermitian_eig.  ValueError unless kind
+    is an OperatorKind.
     """
+    if not isinstance(kind, OperatorKind):
+        raise ValueError(f"unknown operator kind: {kind!r}")
     A = as_matrix(A)
     if kind == OperatorKind.BOUNDED:
         return True

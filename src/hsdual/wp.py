@@ -125,7 +125,7 @@ def _decimal_exponent(text: str) -> int:
 
 
 def _exact_weight(w) -> Fraction:
-    text = str(w) if isinstance(w, (float, Decimal)) else w
+    text = str(w) if isinstance(w, (float, np.floating, Decimal)) else w
     if isinstance(text, str) and (
         len(text) > MAX_WEIGHT_DIGITS or abs(_decimal_exponent(text)) > MAX_WEIGHT_DIGITS
     ):
@@ -146,7 +146,7 @@ def mixture_channel(weights, parts) -> Super:
 
     ``weights`` is a list or tuple with exactly one weight per part, and the
     weights sum to exactly 1: strings parse as fractions ("1/3"), floats
-    and Decimals through their decimal literal (0.1 is 1/10), and booleans
+    (NumPy's too) and Decimals through their decimal literal (0.1 is 1/10), and booleans
     are refused.  A literal longer than MAX_WEIGHT_DIGITS (1000) characters,
     or with a decimal exponent beyond that in magnitude, is refused
     unparsed.  Any other weight list raises InvalidChannel.  The weights

@@ -704,3 +704,18 @@ def test_seeds_are_drawn_lazily_in_chunks_of_the_same_sequence():
     want = [int(s) for s in np.random.default_rng(7).integers(0, 2**62, size=count)]
     assert list(cli._seeds_from(7, count)) == want
     assert next(iter(cli._seeds_from(7, 10**15))) == want[0]
+
+
+def test_tol_and_seed_after_the_subcommand_match_them_before_it(capsys):
+    laws = ["laws", "--instance", "powerset", "--dim", "6", "--samples", "50"]
+    flags = ["--tol", "1e-8", "--seed", "3"]
+    code, before, _ = _run(capsys, [*flags, *laws])
+    assert code == 0
+    assert _run(capsys, [*laws, *flags])[1] == before
+    assert _run(capsys, laws)[1] != before  # both flags took effect
+    for bad in (["--tol", "0"], ["--seed", "-1"]):
+        for argv in ([*bad, *laws], [*laws, *bad]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err

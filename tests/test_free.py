@@ -1,5 +1,6 @@
 """Weighted points, formal differences, complex pairs, and their realizations."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -318,3 +319,15 @@ def test_chain_densities_to_bounded():
 def test_free_constructions_refuse_nan(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_integer_arrays_enter_the_arithmetic_as_floats():
+    big = np.array([[2**62]])
+    small = np.array([[0]], np.uint8), np.array([[1]], np.uint8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = r_add(Difference(big, big), Difference(big, big))
+        pair = c_add(ComplexPair(big, big), ComplexPair(big, big))
+        diff = r_iso_pos_sa(Difference(*small))
+    assert total.pos[0, 0] == total.neg[0, 0] == pair.re[0, 0] == pair.im[0, 0] == 2.0**63
+    assert diff.dtype == np.float64 and diff[0, 0] == -1.0

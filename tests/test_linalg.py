@@ -6,6 +6,8 @@ cross-checked against numpy.linalg.eigh, which plays no role in the library
 itself.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -347,3 +349,18 @@ def test_matrix_from_json_accepts_integral_float_dim():
 
 def test_default_tol_value():
     assert DEFAULT_TOL == 1e-9
+
+
+@pytest.mark.parametrize("data", [object(), {}, {"dim": 2}, [[object()]], [[1, {}], [0, 1]]])
+def test_as_matrix_refuses_entries_that_are_not_numbers(data):
+    with pytest.raises(ValueError, match="must be finite numbers"):
+        as_matrix(data)
+
+
+def test_hermitian_eig_counts_subnormal_scaled_entries_as_zero():
+    # scaled by 2**-1024, the unit entries are subnormal, and 1/|entry| overflows
+    A = mat([[0, 1, 1e308], [1, 1, 1], [1e308, 1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eigs = hermitian_eig(A, vectors=False).eigenvalues
+    assert np.allclose(eigs, np.linalg.eigvalsh(A)[::-1], rtol=1e-15, atol=0.0)

@@ -8,6 +8,7 @@ from hsdual.operators import (
     KIND_ORDER,
     OperatorKind,
     classify,
+    in_kind,
     loewner_leq,
     pos_neg_split,
     projector_onto,
@@ -255,3 +256,9 @@ def test_projector_onto_vector():
     assert approx_eq(P, mat([[0.5, 0.5], [0.5, 0.5]]), 1e-12)
     with pytest.raises(ValueError):
         projector_onto(np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", ["Positive", None, 3])
+def test_in_kind_refuses_what_is_not_a_kind(kind):
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        in_kind(-identity(2), kind)

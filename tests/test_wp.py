@@ -608,3 +608,11 @@ def test_mixture_accepts_decimal_weights():
     mix = mixture_channel([Decimal("0.25"), Decimal("0.75")], [_id_channel(2), _x_channel()])
     want = 0.25 * to_super(_id_channel(2)) + 0.75 * to_super(_x_channel())
     assert approx_eq(mix.matrix, want, 1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_mixture_accepts_numpy_float_weights_through_their_decimal_literal(dtype):
+    # float32(0.1) is not 1/10, but it prints as "0.1", and so do 0.9 and both float16s
+    mix = mixture_channel([dtype(0.1), dtype(0.9)], [_id_channel(2), _x_channel()])
+    want = 0.1 * to_super(_id_channel(2)) + 0.9 * to_super(_x_channel())
+    assert approx_eq(mix.matrix, want, 1e-15)
