@@ -110,8 +110,9 @@ def hs_forward(kind: OperatorKind, A: np.ndarray, tol: float = DEFAULT_TOL) -> F
     """The trace-pairing functional induced by A within its kind.
 
     Raises KindMismatch when A does not classify as ``kind`` at tolerance
-    ``tol``.  For the bounded kind the pairing is B |-> tr(A B^dagger).  For
-    every other kind it is B |-> tr(H B) with H = (A + A^dagger)/2, the
+    ``tol``, and ValueError unless A's entries are finite numbers.  For the
+    bounded kind the pairing is B |-> tr(A B^dagger).  For every other kind
+    it is B |-> tr(H B) with H = (A + A^dagger)/2, the
     Hermitian part that the classification judged: A need only be Hermitian
     within tol, and H is within tol/2 of A.  So hs_inverse of the result
     returns H, not A.  The functional also carries a stacked evaluator, and

@@ -8,7 +8,8 @@ closures over their carrier, with partiality encoded as an optional return:
 ``ovee`` yields None exactly when the sum is undefined.  An instance may also
 carry its operations on stacks of encoded elements (``StackedOps``): integer
 arrays for the unit interval and the powersets, matrix stacks for the
-projections.  The law checker then tests many cases per call.
+projections, and integer arrays for the unit interval's scalar action.  The
+law checker then tests many cases per call.
 
 Four stock instances are provided -- the rational unit interval, finite
 powersets under disjoint union, the effect operators of a finite-dimensional
@@ -27,7 +28,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import _STACK_ENTRIES, DEFAULT_TOL, _is_dim, approx_eq, identity, zeros
+from .linalg import _STACK_ENTRIES, DEFAULT_TOL, _check_seed, _is_dim, approx_eq, identity, zeros
 from .operators import OperatorKind, _projection_pool, loewner_leq, sample, sample_unitary
 
 
@@ -55,6 +56,14 @@ class StackedOps:
     ``agrees_with``, if given, is the per-element ``ovee`` these operations
     agree with; ``law_suite`` ignores the stacked operations of an instance
     whose ``ovee`` is another function, say one replaced to plant a bug.
+
+    ``scalars``, if given, holds the operations the four scalar laws run
+    with: a ``StackedOps`` on an encoding of its own, in which every element
+    those laws form has a code, with ``scalar_mul`` set.
+    ``scalar_mul(K, X)`` returns the b products (K[i] / 64) . X[i], for
+    integers K[i] in [0, 64].  Its ``agrees_with`` is the per-element
+    ``scalar_mul`` it agrees with, and the scalar laws run per element on
+    an instance whose ``scalar_mul`` (or ``ovee``) is another function.
     """
 
     ovee: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -63,6 +72,8 @@ class StackedOps:
     sample: Optional[Callable[[Sequence[int]], np.ndarray]] = None
     encode: Callable[[Sequence], np.ndarray] = np.asarray
     agrees_with: Optional[Callable] = None
+    scalar_mul: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    scalars: Optional[StackedOps] = None
 
 
 @dataclass(frozen=True)
@@ -81,13 +92,15 @@ class EffectInstance:
 
     ``stacked``, if given, holds the same three operations on stacks of
     encoded elements (see ``StackedOps``), and ``law_suite`` then checks
-    the effect-algebra laws with them, a stack of cases per call, on an
-    exhaustive or a sampled pool; if ``stacked.sample`` is set, it draws
-    the sampled pool as one stack.  A replaced ``ovee`` that is not
-    ``stacked.agrees_with`` turns the stacked laws off when that field is
-    set (the unit interval and the powersets set it; the projections do
-    not).  Otherwise, whoever replaces ``ovee``, ``eq``, ``orth`` or
-    ``sampler`` on an instance that has ``stacked`` (say with
+    the effect-algebra laws with them (and the scalar laws with
+    ``stacked.scalars``), a stack of cases per call, on an exhaustive or a
+    sampled pool; if ``stacked.sample`` is set, it draws the sampled pool as
+    one stack.  A replaced ``ovee`` that is not ``stacked.agrees_with``
+    turns the stacked laws off when that field is set (the unit interval
+    and the powersets set it; the projections do not), and so does a
+    replaced ``scalar_mul`` that is not ``stacked.scalars.agrees_with`` for
+    the scalar laws.  Otherwise, whoever replaces ``ovee``, ``eq``,
+    ``orth`` or ``sampler`` on an instance that has ``stacked`` (say with
     ``dataclasses.replace``) must replace ``stacked`` too, or set it to
     None; otherwise the laws never call the new operation, or check a pool
     the new sampler did not draw.
@@ -121,6 +134,13 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
     when it is at most L.  Beyond int64 (max_denominator above 42) there is
     no ``stacked``.  Encoding an element outside the carrier, say one drawn
     by a replaced ``sampler``, raises ValueError.
+
+    ``stacked.scalars`` encodes x as the int64 x * 64L, so that a scalar r
+    coded as r * 64 acts exactly as R * X // 64 on every element the scalar
+    laws form from ``law_suite``'s eighths: r.x, r.(s.x), (r s).x and
+    (r + s).x.  Its largest intermediate, a scalar code up to 64 times a sum
+    code up to 128L, must fit in int64, so up to max_denominator 36 the
+    scalar laws run on stacks and above it per element.
     """
     if not _is_dim(max_denominator):
         raise ValueError("unit-interval instances need max_denominator >= 1")
@@ -156,6 +176,20 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
             )
         return x.numerator * scale
 
+    def scalar_mul(r: Fraction, x: Fraction) -> Fraction:
+        return r * x
+
+    scalars = None
+    if 2**13 * L <= np.iinfo(np.int64).max:
+        M = 64 * L
+        scalars = StackedOps(
+            ovee=lambda X, Y: (X + Y, X + Y <= M),
+            eq=lambda X, Y: X == Y,
+            orth=lambda X: M - X,
+            encode=lambda xs: np.array([64 * code(x) for x in xs], np.int64),
+            agrees_with=scalar_mul,
+            scalar_mul=lambda K, X: K * X // 64,
+        )
     stacked = None
     if dtype is not None:
         stacked = StackedOps(
@@ -164,6 +198,7 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
             orth=lambda X: L - X,
             encode=lambda xs: np.array([code(x) for x in xs], dtype),
             agrees_with=ovee,
+            scalars=scalars,
         )
 
     return EffectInstance(
@@ -173,7 +208,7 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
         ovee=ovee,
         orth=lambda x: 1 - x,
         eq=lambda x, y: x == y,
-        scalar_mul=lambda r, x: r * x,
+        scalar_mul=scalar_mul,
         sampler=sampler,
         universe=universe,
         describe=str,
@@ -404,10 +439,12 @@ def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[Sequen
     return pool, False
 
 
-def _scalar_pool(rng: np.random.Generator, count: int) -> list[Fraction]:
+def _scalar_pool(rng: np.random.Generator, count: int) -> tuple[list[Fraction], np.ndarray]:
+    """count scalars k/8, and the same as the int64 64ths 8k."""
     # one call draws what count calls rng.integers(0, 9) would, in order
+    ks = rng.integers(0, 9, size=count)
     grid = [Fraction(k, 8) for k in range(9)]
-    return [grid[k] for k in rng.integers(0, len(grid), size=count).tolist()]
+    return [grid[k] for k in ks.tolist()], 8 * ks
 
 
 def _stacked_tests(ops: StackedOps, zero_code, one_code) -> dict[str, Callable]:
@@ -463,6 +500,46 @@ def _stacked_tests(ops: StackedOps, zero_code, one_code) -> dict[str, Callable]:
     }
 
 
+def _stacked_scalar_tests(
+    ops: StackedOps, stack: np.ndarray, K: np.ndarray
+) -> dict[str, Callable]:
+    """Each scalar law's check, written on stacks with ``ops.scalar_mul``.
+
+    ``stack`` holds the pool encoded by ``ops``, and K the scalar pool as
+    64ths.  The scalars are eighths, so r s and r + s are whole 64ths.  A
+    law's test takes the columns of its index rows (see ``law_suite``) and
+    returns the mask of the cases whose per-element check fails.
+    """
+    mul, m = ops.scalar_mul, len(K)
+
+    def unit(i):
+        X = stack[i]
+        return ~ops.eq(mul(np.full(len(i), 64), X), X)
+
+    def associativity(i):
+        X, R, S = stack[i], K[i % m], K[(i * 7 + 3) % m]
+        return ~ops.eq(mul(R * S // 64, X), mul(R, mul(S, X)))
+
+    def distributes_over_sum(p, a, b):
+        R, X, Y = K[p % m], stack[a], stack[b]
+        XY, defined = ops.ovee(X, Y)
+        lhs, lhs_defined = ops.ovee(mul(R, X), mul(R, Y))
+        return defined & ~(lhs_defined & ops.eq(lhs, mul(R, XY)))
+
+    def sum_distributes(i):
+        X, R, S = stack[i], K[i % m], K[(i * 5 + 1) % m]
+        lhs, defined = ops.ovee(mul(R, X), mul(S, X))
+        # a case with r + s > 1 holds vacuously; the cap keeps codes <= 64
+        return (R + S <= 64) & ~(defined & ops.eq(lhs, mul(np.minimum(R + S, 64), X)))
+
+    return {
+        "scalar-unit": unit,
+        "scalar-associativity": associativity,
+        "scalar-distributes-over-sum": distributes_over_sum,
+        "scalar-sum-distributes": sum_distributes,
+    }
+
+
 def law_suite(
     inst: EffectInstance,
     samples: int = 500,
@@ -474,10 +551,10 @@ def law_suite(
     Small enumerable carriers are checked exhaustively over all pairs and
     triples; otherwise ``samples`` elements are drawn from the instance
     sampler (ValueError unless samples >= 1 and the instance has a
-    sampler).  Each law reports how many instances were checked and the
-    first counterexample found, if any.  Carrier equality is the
-    instance's own ``eq``; ``tol`` is recorded in the report for downstream
-    thresholds.
+    sampler).  ``seed`` must be an integer >= 0 (ValueError otherwise).
+    Each law reports how many instances were checked and the first
+    counterexample found, if any.  Carrier equality is the instance's own
+    ``eq``; ``tol`` is recorded in the report for downstream thresholds.
 
     Every law runs over rows of pool indices: singles, pairs, triples, or
     the complement rows (x, orth(x)).  Its cases are the rows in order, and
@@ -507,9 +584,12 @@ def law_suite(
     for any ``samples``.  Only the rows a test flags run per element, to
     word the counterexample; the report equals the per-element one (same
     draws, counts, positions and text), and ValueError is raised if the
-    per-element check passes a flagged case.  The scalar laws always run
-    per element.
+    per-element check passes a flagged case.  The four scalar laws run the
+    same way with ``stacked.scalars`` when the instance has it and its
+    ``scalar_mul`` is the one those agree with (the unit interval up to
+    max_denominator 36), and per element otherwise.
     """
+    _check_seed(seed)
     pool, exhaustive = _element_pool(inst, samples, seed)
     rng = np.random.default_rng(seed)
     n = len(pool)
@@ -614,7 +694,7 @@ def law_suite(
 
     if inst.scalar_mul is not None:
         smul = inst.scalar_mul
-        scalars = _scalar_pool(rng, max(len(pairs), 1))
+        scalars, scalar_codes = _scalar_pool(rng, max(len(pairs), 1))
 
         def chk_scalar_one(i):
             x = pool[i]
@@ -679,6 +759,12 @@ def law_suite(
             law: lambda rows, test=test: test(*stack[rows.T])
             for law, test in _stacked_tests(ops, *ops.encode([inst.zero, inst.one])).items()
         }
+        sops = ops.scalars if inst.scalar_mul is not None else None
+        if sops is not None and sops.agrees_with in (None, inst.scalar_mul):
+            sstack = sops.encode(pool)
+            sstack.setflags(write=False)
+            for law, test in _stacked_scalar_tests(sops, sstack, scalar_codes).items():
+                tests[law] = lambda rows, test=test: test(*rows.T)
     flags = dict(tests)
     if exhaustive and ops is None:
         defined = np.array([[pair_sum(j, k) is not None for k in range(n)] for j in range(n)])
@@ -707,7 +793,7 @@ def law_suite(
         else:
             entries.append(LawEntry(law, True, len(rows), None))
 
-    return LawReport(inst.name, seed, tol, tuple(entries))
+    return LawReport(inst.name, int(seed), tol, tuple(entries))  # json cannot write a NumPy int
 
 
 __all__ = [

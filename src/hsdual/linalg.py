@@ -71,6 +71,13 @@ def _is_dim(n) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless seed is an integer >= 0: a ``numbers.Integral``, so
+    a NumPy integer or a Python int past 2**64 too, but not a bool or None."""
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"a seed must be an integer >= 0, got {seed!r}")
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce to a square complex128 matrix: ValueError unless every entry is
     a finite number, DimensionMismatch unless the shape is square and nonempty."""

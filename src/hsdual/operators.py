@@ -34,6 +34,7 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     NotHermitian,
+    _check_seed,
     _is_dim,
     as_matrix,
     hermitian_eig,
@@ -249,7 +250,9 @@ def _projection_pool(dim: int, seeds: Sequence[int], shared_basis=None) -> np.nd
 def sample_unitary(dim: int, seed: int) -> np.ndarray:
     """Seed-deterministic unitary: the Q of a complex Gaussian's QR with R's
     diagonal made positive, which is unique and so equals Gram-Schmidt on the
-    Gaussian's columns.  Seeds replay within one version and NumPy build."""
+    Gaussian's columns.  Seeds replay within one version and NumPy build;
+    ValueError unless seed is an integer >= 0."""
+    _check_seed(seed)
     return _unitary_from(_standard_gaussian(np.random.default_rng(seed), dim)[None])[0]
 
 
@@ -261,10 +264,11 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
     renormalized to unit trace; effect: self-adjoint with the spectrum mapped
     affinely onto [0, 1]; projection: a random-rank sum of sampled
     orthonormal column projectors.  ValueError unless dim is an integer
-    >= 1 and kind an OperatorKind.
+    >= 1, seed an integer >= 0 and kind an OperatorKind.
     """
     if not _is_dim(dim):
         raise ValueError("dim must be an integer >= 1")
+    _check_seed(seed)
     if kind == OperatorKind.PROJECTION:
         return _projection_pool(dim, [seed])[0]
     rng = np.random.default_rng(seed)

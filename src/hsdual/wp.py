@@ -19,7 +19,9 @@ through one Cholesky factor of its Choi matrix, which bounds every pure
 state's image at once; only a map that is positive but not completely
 positive (such as the transpose) has its 20 images classified one by one.
 Every function that takes a channel raises ChannelError when handed
-anything else.
+anything else.  ``unitary_channel``, ``apply_channel`` and ``wp`` raise
+ValueError for a matrix whose entries are not finite numbers (see
+``linalg.as_matrix``); ``super_channel`` raises InvalidChannel for one.
 
 The weakest precondition wp(f, A) of an effect A under a channel f is the
 unique effect W with tr(f(rho) A) = tr(rho W) for every density rho.  It is
@@ -40,7 +42,8 @@ import numpy as np
 
 from .algebra import AlgebraError, Semiring, convex_state_carrier, formal_sum, interpret
 from .duality import DualityError, Functional, hs_inverse
-from .linalg import DEFAULT_TOL, _is_dim, as_matrix, hermitian_part, identity, is_hermitian, max_norm
+from .linalg import DEFAULT_TOL, _check_seed, _is_dim, as_matrix, hermitian_part, identity
+from .linalg import is_hermitian, max_norm
 from .operators import OperatorKind, in_kind
 
 
@@ -97,7 +100,8 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
     """Conjugation rho |-> U rho U^dagger; U must be unitary within tol.
 
     Row-major vectorization turns A B C into (A kron C^T) vec(B), so the
-    superoperator is kron(U, conj(U)).
+    superoperator is kron(U, conj(U)).  ValueError unless U's entries are
+    finite numbers.
     """
     U = as_matrix(U)
     n = U.shape[0]
@@ -207,11 +211,16 @@ def super_channel(
     CHOI_TOL_FLOOR).  Otherwise each image is classified in turn, so a
     positive map that is not completely positive (such as the transpose)
     still passes, and every rejection names the first failing sample.
-    Complete positivity is not demanded.
+    Complete positivity is not demanded.  A seed that is not an integer
+    >= 0 raises ValueError.
     """
     if not (_is_dim(dim_in) and _is_dim(dim_out)):
         raise InvalidChannel(f"channel dimensions must be >= 1, got {dim_in!r} -> {dim_out!r}")
-    M = np.asarray(matrix, dtype=np.complex128)
+    _check_seed(seed)
+    try:
+        M = np.asarray(matrix, dtype=np.complex128)
+    except (OverflowError, TypeError, ValueError):  # a huge int, a dict, a ragged list
+        raise InvalidChannel("superoperator entries must be finite numbers") from None
     if M.shape != (dim_out * dim_out, dim_in * dim_in):
         raise InvalidChannel(
             f"superoperator must be {dim_out**2} x {dim_in**2}, got {M.shape}"
@@ -270,7 +279,8 @@ def _act(S: np.ndarray, rho: np.ndarray, dim_out: int) -> np.ndarray:
 def apply_channel(ch: Super, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply the channel to a density operator (NotDensity otherwise).
 
-    The image is a new array of its own, not a view of a larger one.
+    ValueError unless rho's entries are finite numbers.  The image is a new
+    array of its own, not a view of a larger one.
     """
     _require_channel(ch)
     rho = as_matrix(rho)
@@ -295,7 +305,8 @@ def compose(g: Super, f: Super) -> Super:
 def wp(ch: Super, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Weakest precondition: the effect W with tr(f(rho) A) = tr(rho W).
 
-    A must be an effect on the channel's output space (NotEffect otherwise).
+    A must be an effect on the channel's output space (NotEffect otherwise,
+    and ValueError unless its entries are finite numbers).
     The pre-expectation functional is inverted through the generic duality
     machinery; if the inversion fails or its result is not an effect --
     possible only for channels that are not actually positive -- NotEffect

@@ -871,3 +871,112 @@ def test_law_suite_memos_live_for_one_call():
         calls.update(ovee=0, orth=0)
         assert law_suite(counted, samples=200, seed=3).all_pass
         assert calls == {"ovee": 1692, "orth": 202}
+
+
+# --- the unit interval's scalar laws as integer stacks --------------------------
+#
+# ``stacked.scalars`` codes x as x * 64L and a scalar r as r * 64, so that the
+# four scalar laws run a stack of integer cases at a time.  Their entries must
+# equal the per-element and the reference ones, a bug planted on the codes
+# included.
+
+
+@pytest.mark.parametrize("chunk_cases", [None, 7])
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1])
+@pytest.mark.parametrize("k", list(range(1, 11)) + [12, 22, 23, 42])
+def test_stacked_interval_scalar_laws_match_the_reference(monkeypatch, k, seed, chunk_cases):
+    if chunk_cases is not None:
+        monkeypatch.setattr(effect, "_STACK_ENTRIES", chunk_cases)
+    inst = make_unit_interval(k)
+    assert checks_exhaustively(inst) == (k <= 10)
+    report = _assert_stacked_matches_per_element(inst, samples=60, seed=seed)
+    assert report.all_pass and len(report.entries) == 10
+    assert [(e.law, e.passed, e.checked, e.counterexample) for e in report.entries] == (
+        _reference_entries(inst, 60, seed)
+    )
+
+
+_SCALAR_BUGS = {
+    # 1 . x is 0 at x = 1: the unit law fails at the last pool element
+    "unit-drops-one": lambda K, X, M: np.where((K == 64) & (X == M), 0, K * X // 64),
+    # r . x rounds to a multiple of r's own 64ths, which loses r . (s . x)
+    "truncates": lambda K, X, M: (X // 64) * K,
+    # r . x is capped at 1/2, which breaks every law above 1/2
+    "saturates": lambda K, X, M: np.minimum(K * X // 64, M // 2),
+    # 1/2 . x is one code too large, so 1/2.x (+) 1/2.x != x
+    "half-overshoots": lambda K, X, M: K * X // 64 + ((K == 32) & (X > 0)),
+    # r . x is 2 r x below r = 1, so r.x (+) r.y can be undefined
+    "doubles": lambda K, X, M: np.where(K < 64, K * X // 32, X),
+}
+
+
+def _planted_scalar(k: int, bug: str) -> EffectInstance:
+    """make_unit_interval(k) with a scalar_mul bug written once, on the codes
+    of ``stacked.scalars``; the per-element scalar_mul decodes it."""
+    good = make_unit_interval(k)
+    base = good.stacked.scalars
+    M = int(base.encode([good.one])[0])
+
+    def mul(K, X):
+        return _SCALAR_BUGS[bug](K, X, M)
+
+    def scalar_mul(r, x):
+        code = mul(np.array([int(r * 64)]), np.array([int(x * M)]))[0]
+        return Fraction(int(code), M)
+
+    scalars = replace(base, scalar_mul=mul, agrees_with=scalar_mul)
+    return replace(
+        good,
+        name=f"planted-{bug}-{good.name}",
+        scalar_mul=scalar_mul,
+        stacked=replace(good.stacked, scalars=scalars),
+    )
+
+
+@pytest.mark.parametrize("chunk_cases", [None, 7])
+@pytest.mark.parametrize("seed", [2, 11])
+@pytest.mark.parametrize("k", [5, 8, 12])
+@pytest.mark.parametrize("bug", sorted(_SCALAR_BUGS))
+def test_stacked_scalar_laws_report_planted_bugs_like_per_element(
+    monkeypatch, bug, k, seed, chunk_cases
+):
+    if chunk_cases is not None:
+        monkeypatch.setattr(effect, "_STACK_ENTRIES", chunk_cases)
+    inst = _planted_scalar(k, bug)
+    report = _assert_stacked_matches_per_element(inst, samples=40, seed=seed)
+    assert [(e.law, e.passed, e.checked, e.counterexample) for e in report.entries] == (
+        _reference_entries(inst, 40, seed)
+    )
+    assert not report.all_pass
+    assert all(e.passed for e in report.entries[:6])
+
+
+def test_a_passing_interval_run_never_calls_the_per_element_scalar_mul():
+    good = make_unit_interval(8)
+    calls = []
+
+    def counted(r, x):
+        calls.append((r, x))
+        return good.scalar_mul(r, x)
+
+    scalars = replace(good.stacked.scalars, agrees_with=counted)
+    inst = replace(good, scalar_mul=counted, stacked=replace(good.stacked, scalars=scalars))
+    assert law_suite(inst) == law_suite(good)
+    assert law_suite(inst).all_pass and calls == []
+    # without stacked scalars every scalar law calls it
+    assert law_suite(replace(inst, stacked=replace(inst.stacked, scalars=None))).all_pass
+    assert len(calls) > 23
+
+
+@pytest.mark.parametrize("k, stacked_scalars", [(36, True), (37, False), (42, False)])
+def test_scalar_stacks_fall_back_per_element_beyond_int64(k, stacked_scalars):
+    # the largest intermediate, 64 * 128L, fits in int64 up to k = 36
+    inst = make_unit_interval(k)
+    L = math.lcm(*range(1, k + 1))
+    assert inst.stacked is not None
+    assert (inst.stacked.scalars is not None) == stacked_scalars
+    assert (2**13 * L <= np.iinfo(np.int64).max) == stacked_scalars
+    if stacked_scalars:
+        codes = inst.stacked.scalars.encode([inst.zero, Fraction(1, k), inst.one])
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 64 * L // k, 64 * L]
+    _assert_stacked_matches_per_element(inst, samples=300, seed=k)

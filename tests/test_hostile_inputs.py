@@ -40,7 +40,9 @@ from hsdual.operators import (
     loewner_leq,
     projector_onto,
 )
-from hsdual.wp import InvalidChannel, unitary_channel
+from hsdual.effect import law_suite, make_unit_interval
+from hsdual.operators import sample, sample_unitary
+from hsdual.wp import InvalidChannel, apply_channel, super_channel, to_super, unitary_channel, wp
 
 from conftest import mat
 
@@ -401,3 +403,61 @@ def test_free_arithmetic_names_a_component_that_is_no_number(call, x):
     with pytest.raises(LinalgError, match="is neither an array of numbers nor a finite number") as exc:
         call(x)
     assert str(exc.value).startswith(repr(x))
+
+
+# --- matrix arguments that are no finite numbers, and seeds ---------------------
+
+_IDENTITY_CHANNEL = unitary_channel(identity(2))
+
+
+@pytest.mark.parametrize("bad", [object(), {}, [[float("nan")]]], ids=["object", "dict", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        unitary_channel,
+        lambda A: apply_channel(_IDENTITY_CHANNEL, A),
+        lambda A: wp(_IDENTITY_CHANNEL, A),
+        lambda A: hs_forward(OperatorKind.EFFECT, A),
+    ],
+    ids=["unitary_channel", "apply_channel", "wp", "hs_forward"],
+)
+def test_a_matrix_argument_that_is_no_finite_numbers_is_a_value_error(call, bad):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", [object(), {}, [[1, 2], [3]], [[10**400]]], ids=["object", "dict", "ragged", "huge-int"]
+)
+def test_a_superoperator_that_is_no_finite_numbers_is_an_invalid_channel(bad):
+    with pytest.raises(InvalidChannel, match="finite numbers"):
+        super_channel(1, 1, bad)
+
+
+_SEEDED = {
+    "sample": lambda seed: sample(OperatorKind.DENSITY, 2, seed),
+    "sample_unitary": lambda seed: sample_unitary(2, seed),
+    "super_channel": lambda seed: super_channel(2, 2, to_super(_IDENTITY_CHANNEL), seed=seed),
+    "law_suite": lambda seed: law_suite(make_unit_interval(3), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, "3", -1, np.int64(-2)], ids=repr)
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_a_seed_that_is_no_nonnegative_integer_is_a_value_error(name, seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        _SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(7), np.uint64(2**64 - 1), 2**64 + 5], ids=repr)
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_numpy_and_large_integer_seeds_replay(name, seed):
+    first, again = _SEEDED[name](seed), _SEEDED[name](int(seed))
+    if name == "super_channel":
+        first, again = to_super(first), to_super(again)
+    assert np.array_equal(first, again) if isinstance(first, np.ndarray) else first == again
+
+
+def test_a_law_report_of_a_numpy_seed_is_json():
+    report = law_suite(make_unit_interval(3), seed=np.int64(3))
+    assert json.loads(json.dumps(report.to_json())) == law_suite(make_unit_interval(3), seed=3).to_json()
