@@ -13,11 +13,21 @@ is a single term with coefficient one, ``fmap`` pushes keys forward (merging
 collisions additively), and ``flatten`` multiplies outer coefficients through
 inner sums.  Algebra carriers interpret sums in an actual module or convex
 set, e.g. matrices under real combinations or densities under convex ones.
+
+One rule gives every coefficient, and every ``wp.mixture_channel`` weight,
+its exact value: a rational (an int, a Fraction) is itself, a string parses
+as a fraction or decimal literal ("1/3", "1e-3"), and a float (NumPy's too),
+a Decimal and each part of a complex number are read through ``str()``, so
+0.1 is 1/10.  A bool, a literal over MAX_LITERAL_DIGITS (1000) characters
+or with a decimal exponent beyond that in magnitude (refused unparsed: the
+parse builds 10**exponent), and anything else Fraction refuses (None,
+"1/0", NaN) raise ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -25,6 +35,8 @@ from itertools import chain, combinations, product
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
+
+from .linalg import _shown
 
 __all__ = [
     "Semiring",
@@ -110,30 +122,48 @@ class Semiring(Enum):
         return self.value
 
 
+#: Longest literal, and largest decimal exponent in one, that _exact parses.
+MAX_LITERAL_DIGITS = 1000
+
+
+def _exact(value) -> Fraction:
+    """The exact value of a real number, by the rule in the module docstring."""
+    text = str(value) if isinstance(value, (float, np.floating, Decimal)) else value
+    try:
+        too_long = isinstance(text, str) and (
+            len(text) > MAX_LITERAL_DIGITS or abs(int(text.lower().partition("e")[2] or 0)) > MAX_LITERAL_DIGITS
+        )
+        if not (too_long or isinstance(value, bool)):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):  # int() refuses a non-integer exponent
+        too_long = False
+    if too_long:
+        raise ValueError(f"a literal beyond {MAX_LITERAL_DIGITS} in length or in decimal exponent is too long")
+    raise ValueError(f"coefficient {_shown(value)} is not a rational number")
+
+
 def _coerce(semiring: Semiring, value) -> Fraction | QC:
     """Validate and normalize a coefficient for the given semiring.
 
     Range checks compare the normalized numerator and (positive) denominator
     as integers rather than through Fraction's rich comparison.
     """
-    try:
-        if semiring is Semiring.COMPLEX_RATIONAL:
-            if isinstance(value, QC):
-                return value
-            if isinstance(value, complex):
-                return QC(Fraction(value.real), Fraction(value.imag))
-            return QC(Fraction(value), Fraction(0))
+    if semiring is Semiring.COMPLEX_RATIONAL:
         if isinstance(value, QC):
-            if value.im != 0:
-                raise ValueError(f"coefficient {value!r} is not real for {semiring.value}")
-            value = value.re
-        coeff = value if type(value) is Fraction else Fraction(value)
-    except (TypeError, OverflowError):  # Fraction refuses None, a list, an infinity
-        raise ValueError(f"coefficient {value!r} is not a rational number") from None
+            return value
+        if isinstance(value, (complex, np.complexfloating)):
+            return QC(_exact(value.real), _exact(value.imag))
+        return QC(_exact(value), Fraction(0))
+    if type(value) is Fraction:
+        coeff = value
+    elif isinstance(value, QC) and not value.im:  # a real Gaussian rational
+        coeff = value.re
+    else:
+        coeff = _exact(value)
     if semiring is Semiring.NONNEG_RATIONAL and coeff.numerator < 0:
-        raise ValueError(f"coefficient {coeff} negative in {semiring.value}")
+        raise ValueError(f"coefficient {_shown(coeff, str)} negative in {semiring.value}")
     if semiring is Semiring.UNIT_INTERVAL and not 0 <= coeff.numerator <= coeff.denominator:
-        raise CoefficientOverflow(f"coefficient {coeff} outside [0, 1]")
+        raise CoefficientOverflow(f"coefficient {_shown(coeff, str)} outside [0, 1]")
     return coeff
 
 
@@ -148,7 +178,7 @@ def _one(semiring: Semiring):
 def _add(semiring: Semiring, a, b):
     total = a + b
     if semiring is Semiring.UNIT_INTERVAL and total.numerator > total.denominator:
-        raise CoefficientOverflow(f"coefficient sum {total} left [0, 1]")
+        raise CoefficientOverflow(f"coefficient sum {_shown(total, str)} left [0, 1]")
     return total
 
 
@@ -219,10 +249,12 @@ def formal_sum(
     """Build a formal sum, merging duplicate keys and dropping zeros.
 
     With ``distribution=True`` (unit-interval coefficients only) the
-    coefficients must add up to exactly 1.  A coefficient that ``Fraction``
-    refuses (None, a list, an infinity, NaN), or a negative one over the
-    nonnegative rationals, raises ValueError.
+    coefficients must add up to exactly 1.  A coefficient the module's rule
+    refuses, a negative one over the nonnegative rationals, or a ``semiring``
+    that is not a Semiring raises ValueError.
     """
+    if not isinstance(semiring, Semiring):
+        raise ValueError(f"unknown semiring: {_shown(semiring)}")
     if distribution and semiring is not Semiring.UNIT_INTERVAL:
         raise NotDistribution("the distribution flag requires unit-interval coefficients")
     acc: dict = {}
@@ -237,26 +269,35 @@ def formal_sum(
     if distribution:
         total = result.total()
         if total.numerator != 1 or total.denominator != 1:
-            raise NotDistribution(f"distribution coefficients sum to {total}, not 1")
+            raise NotDistribution(f"distribution coefficients sum to {_shown(total, str)}, not 1")
     return result
 
 
+def _require_sum(s) -> FormalSum:
+    """s itself if it is a FormalSum; ValueError otherwise."""
+    if not isinstance(s, FormalSum):
+        raise ValueError(f"not a formal sum: {_shown(s)}")
+    return s
+
+
 def unit(key, semiring: Semiring = Semiring.RATIONAL, distribution: bool = False) -> FormalSum:
-    """The sum 1|key> (a point distribution when flagged)."""
+    """The sum 1|key> (a point distribution when flagged); ValueError for a non-Semiring."""
     return formal_sum(semiring, [(key, _one(semiring))], distribution)
 
 
 def fmap(f: Callable[[Any], Any], s: FormalSum) -> FormalSum:
-    """Push keys forward through f, summing coefficients over collisions."""
-    return formal_sum(s.semiring, ((f(k), c) for k, c in s.terms), s.distribution)
+    """Push keys forward through f, summing coefficients over collisions;
+    ValueError unless s is a FormalSum."""
+    return formal_sum(_require_sum(s).semiring, ((f(k), c) for k, c in s.terms), s.distribution)
 
 
 def scale(coefficient, s: FormalSum) -> FormalSum:
     """Multiply every coefficient (left factor drawn from the same semiring).
 
     The distribution flag survives only when the factor is exactly 1.
+    ValueError unless s is a FormalSum.
     """
-    c0 = _coerce(s.semiring, coefficient)
+    c0 = _coerce(_require_sum(s).semiring, coefficient)
     return formal_sum(
         s.semiring,
         ((k, c0 * c) for k, c in s.terms),
@@ -267,18 +308,14 @@ def scale(coefficient, s: FormalSum) -> FormalSum:
 def flatten(ss: FormalSum) -> FormalSum:
     """Monad multiplication: a sum of sums collapses by multiplying through.
 
-    Every key of ``ss`` must itself be a FormalSum over the same semiring
-    (SemiringMismatch otherwise); the distribution flag survives because a
-    convex combination of distributions is a distribution.
+    ``ss`` must be a FormalSum (ValueError otherwise) whose keys are sums
+    over its semiring (SemiringMismatch otherwise); the distribution flag
+    survives, as a convex combination of distributions is a distribution.
     """
     pairs = []
-    for inner, outer_coeff in ss.terms:
-        if not isinstance(inner, FormalSum):
-            raise SemiringMismatch(f"flatten expects sums of sums, found key {inner!r}")
-        if inner.semiring is not ss.semiring:
-            raise SemiringMismatch(
-                f"inner sum over {inner.semiring.value} inside outer {ss.semiring.value}"
-            )
+    for inner, outer_coeff in _require_sum(ss).terms:
+        if not (isinstance(inner, FormalSum) and inner.semiring is ss.semiring):
+            raise SemiringMismatch(f"flatten expects sums over {ss.semiring.value}, found key {_shown(inner)}")
         for key, c in inner.terms:
             pairs.append((key, outer_coeff * c))
     distribution = ss.distribution and all(inner.distribution for inner, _ in ss.terms)

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import _STACK_ENTRIES, DEFAULT_TOL, _check_seed, _is_dim, approx_eq, identity, zeros
+from .linalg import _STACK_ENTRIES, DEFAULT_TOL, _is_dim, _seeded_rng, approx_eq, identity, zeros
 from .operators import OperatorKind, _projection_pool, loewner_leq, sample, sample_unitary
 
 
@@ -83,7 +83,8 @@ class EffectInstance:
     ``ovee(x, y)`` returns the partial sum or None when undefined;
     ``orth`` is the orthosupplement; ``eq`` is carrier equality (exact or
     tolerance-based); ``scalar_mul`` is the optional [0, 1]-action taking an
-    exact Fraction scalar; ``sampler`` draws a seed-deterministic element;
+    exact Fraction scalar; ``sampler`` draws a seed-deterministic element
+    (the stock samplers raise ValueError unless the seed is an integer >= 0);
     ``universe`` enumerates the carrier when that is feasible.
 
     ``ovee``, ``orth`` and ``eq`` must be pure: the same arguments always
@@ -160,7 +161,7 @@ def make_unit_interval(max_denominator: int = 8) -> EffectInstance:
         return s if s.numerator <= s.denominator else None
 
     def sampler(seed: int) -> Fraction:
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         q = int(rng.integers(1, max_denominator + 1))
         p = int(rng.integers(0, q + 1))
         return Fraction(p, q)
@@ -245,7 +246,7 @@ def make_powerset(size: int) -> EffectInstance:
     )
 
     def sampler(seed: int) -> frozenset:
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         mask = rng.integers(0, 2, size=size)
         return frozenset(i for i in range(size) if mask[i])
 
@@ -291,7 +292,7 @@ def make_effects(dim: int, tol: float = DEFAULT_TOL) -> EffectInstance:
     def sampler(seed: int) -> np.ndarray:
         # scale sampled effects down by a random factor so that summable
         # pairs occur with useful frequency
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         sub = int(rng.integers(0, 2**62))
         u = float(rng.uniform())
         return u * sample(OperatorKind.EFFECT, dim, sub)
@@ -589,9 +590,8 @@ def law_suite(
     ``scalar_mul`` is the one those agree with (the unit interval up to
     max_denominator 36), and per element otherwise.
     """
-    _check_seed(seed)
+    rng = _seeded_rng(seed)
     pool, exhaustive = _element_pool(inst, samples, seed)
-    rng = np.random.default_rng(seed)
     n = len(pool)
 
     # rows index ``elements``: pool[i] at i, orth(pool[i]) at n + i

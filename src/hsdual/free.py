@@ -52,6 +52,7 @@ from .linalg import (
     LinalgError,
     NotHermitian,
     _is_dim,
+    _shown,
     approx_eq,
     as_matrix,
     is_hermitian,
@@ -88,16 +89,6 @@ def _plain(x):
     if isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.integer):
         return x.astype(np.float64)
     return x.item() if isinstance(x, np.generic) else x
-
-
-def _shown(x) -> str:
-    """repr(x) for an error message, or its type where that repr is longer
-    than 80 characters or refused (an int of more than 4,300 digits)."""
-    try:
-        r = repr(x)
-    except ValueError:
-        r = ""
-    return r if 0 < len(r) <= 80 else f"<{type(x).__name__}, too long to show>"
 
 
 def _components(*parts, error=LinalgError) -> tuple:

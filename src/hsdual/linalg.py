@@ -71,11 +71,22 @@ def _is_dim(n) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
 
-def _check_seed(seed) -> None:
-    """ValueError unless seed is an integer >= 0: a ``numbers.Integral``, so
-    a NumPy integer or a Python int past 2**64 too, but not a bool or None."""
+def _seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; ValueError unless seed is an integer >= 0: a
+    ``numbers.Integral``, so a NumPy integer or an int past 2**64 too, but not a bool."""
     if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"a seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def _shown(x, form=repr) -> str:
+    """form(x) for an error message, or its type where that text is longer
+    than 80 characters or refused (an int of more than 4,300 digits)."""
+    try:
+        r = form(x)
+    except ValueError:
+        r = ""
+    return r if 0 < len(r) <= 80 else f"<{type(x).__name__}, too long to show>"
 
 
 def as_matrix(data) -> np.ndarray:

@@ -34,8 +34,8 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     NotHermitian,
-    _check_seed,
     _is_dim,
+    _seeded_rng,
     as_matrix,
     hermitian_eig,
     hermitian_part,
@@ -229,7 +229,7 @@ def _projection_pool(dim: int, seeds: Sequence[int], shared_basis=None) -> np.nd
     masks = np.empty((len(seeds), dim), dtype=bool)
     fresh = []
     for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         if shared_basis is not None and seed % 2 == 0:
             bases[i] = shared_basis
             masks[i] = rng.integers(0, 2, size=dim) == 1
@@ -252,8 +252,7 @@ def sample_unitary(dim: int, seed: int) -> np.ndarray:
     diagonal made positive, which is unique and so equals Gram-Schmidt on the
     Gaussian's columns.  Seeds replay within one version and NumPy build;
     ValueError unless seed is an integer >= 0."""
-    _check_seed(seed)
-    return _unitary_from(_standard_gaussian(np.random.default_rng(seed), dim)[None])[0]
+    return _unitary_from(_standard_gaussian(_seeded_rng(seed), dim)[None])[0]
 
 
 def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
@@ -268,10 +267,9 @@ def sample(kind: OperatorKind, dim: int, seed: int) -> np.ndarray:
     """
     if not _is_dim(dim):
         raise ValueError("dim must be an integer >= 1")
-    _check_seed(seed)
     if kind == OperatorKind.PROJECTION:
         return _projection_pool(dim, [seed])[0]
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if kind == OperatorKind.BOUNDED:
         return _gaussian(rng, dim)
     if kind == OperatorKind.SELF_ADJOINT:

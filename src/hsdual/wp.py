@@ -35,14 +35,12 @@ and is used in the test suite as an oracle, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import AlgebraError, Semiring, convex_state_carrier, formal_sum, interpret
 from .duality import DualityError, Functional, hs_inverse
-from .linalg import DEFAULT_TOL, _check_seed, _is_dim, as_matrix, hermitian_part, identity
+from .linalg import DEFAULT_TOL, _is_dim, _seeded_rng, as_matrix, hermitian_part, identity
 from .linalg import is_hermitian, max_norm
 from .operators import OperatorKind, in_kind
 
@@ -112,52 +110,16 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> Super:
     return _channel(Super, n, n, np.kron(U, U.conj()))
 
 
-#: Longest weight string, and largest decimal exponent in one, that a mixture
-#: parses.  The exact parse builds 10**exponent, whose cost grows faster than
-#: the exponent, so a weight beyond either bound is refused before parsing.
-MAX_WEIGHT_DIGITS = 1000
-
-
-def _decimal_exponent(text: str) -> int:
-    """The exponent after an ``e`` in a weight string; 0 if there is none or
-    it is not an integer (the parse then refuses the string anyway)."""
-    _, e, exponent = text.lower().partition("e")
-    try:
-        return int(exponent) if e else 0
-    except ValueError:
-        return 0
-
-
-def _exact_weight(w) -> Fraction:
-    text = str(w) if isinstance(w, (float, np.floating, Decimal)) else w
-    if isinstance(text, str) and (
-        len(text) > MAX_WEIGHT_DIGITS or abs(_decimal_exponent(text)) > MAX_WEIGHT_DIGITS
-    ):
-        raise InvalidChannel(
-            f"mixture weight is too long to parse exactly: over {MAX_WEIGHT_DIGITS} characters"
-            f" or a decimal exponent beyond ±{MAX_WEIGHT_DIGITS}"
-        )
-    try:
-        if not isinstance(w, bool):
-            return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    raise InvalidChannel(f"mixture weight {w!r} is not a number")
-
-
 def mixture_channel(weights, parts) -> Super:
     """Convex mixture of channels with exact distribution weights.
 
-    ``weights`` is a list or tuple with exactly one weight per part, and the
-    weights sum to exactly 1: strings parse as fractions ("1/3"), floats
-    (NumPy's too) and Decimals through their decimal literal (0.1 is 1/10), and booleans
-    are refused.  A literal longer than MAX_WEIGHT_DIGITS (1000) characters,
-    or with a decimal exponent beyond that in magnitude, is refused
-    unparsed.  Any other weight list raises InvalidChannel.  The weights
-    form an exact distribution over the part indices, which the parts'
-    matrices interpret in the convex set of superoperators: the mixture is
-    the ``Super`` whose matrix is that convex combination, computed here
-    once.
+    ``weights`` is a list or tuple with exactly one weight per part, each
+    read by the ``algebra`` module's one rule for the exact value of a
+    number (0.1 is 1/10, a bool is refused), that sums to exactly 1; any
+    other weight list raises InvalidChannel.  The weights form an exact
+    distribution over the part indices, which the parts' matrices interpret
+    in the convex set of superoperators: the mixture is the ``Super`` whose
+    matrix is that convex combination, computed here once.
     """
     parts = tuple(_require_channel(p) for p in parts)
     if not parts:
@@ -165,10 +127,10 @@ def mixture_channel(weights, parts) -> Super:
     if not isinstance(weights, (list, tuple)) or len(weights) != len(parts):
         raise InvalidChannel(f"mixture weights must be a list of one weight per part ({len(parts)})")
     try:
-        dist = formal_sum(
-            Semiring.UNIT_INTERVAL, [(i, _exact_weight(w)) for i, w in enumerate(weights)], distribution=True
-        )
-    except (AlgebraError, ValueError) as exc:  # ValueError: a sum too long to print
+        dist = formal_sum(Semiring.UNIT_INTERVAL, enumerate(weights), distribution=True)
+    except ValueError as exc:
+        raise InvalidChannel(f"a mixture weight is not a number: {exc}") from exc
+    except AlgebraError as exc:
         raise InvalidChannel(f"mixture weights must form an exact distribution: {exc}") from exc
     dims = {(p.dim_in, p.dim_out) for p in parts}
     if len(dims) != 1:
@@ -216,7 +178,7 @@ def super_channel(
     """
     if not (_is_dim(dim_in) and _is_dim(dim_out)):
         raise InvalidChannel(f"channel dimensions must be >= 1, got {dim_in!r} -> {dim_out!r}")
-    _check_seed(seed)
+    rng = _seeded_rng(seed)
     try:
         M = np.asarray(matrix, dtype=np.complex128)
     except (OverflowError, TypeError, ValueError):  # a huge int, a dict, a ragged list
@@ -227,7 +189,6 @@ def super_channel(
         )
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise InvalidChannel("superoperator entries must be finite")
-    rng = np.random.default_rng(seed)
     shape = (VALIDATION_SAMPLES, dim_in)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v /= np.linalg.norm(v, axis=1, keepdims=True)

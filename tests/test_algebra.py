@@ -4,7 +4,9 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -565,3 +567,91 @@ def test_a_carrier_with_a_zero_is_a_module_and_one_without_is_convex():
         interpret(convex, formal_sum(UI, [(Fraction(1, 2), Fraction(1, 2))]))
     half = formal_sum(UI, [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))], distribution=True)
     assert interpret(convex, half) == 0.5
+
+
+# --- the one rule for the exact value of a number ------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (0.1, Fraction(1, 10)),
+        (np.float32(0.1), Fraction(1, 10)),
+        (np.float64(0.1), Fraction(1, 10)),
+        (Decimal("0.25"), Fraction(1, 4)),
+        ("1/3", Fraction(1, 3)),
+        ("2.5e-1", Fraction(1, 4)),
+        (np.int64(1), Fraction(1)),
+    ],
+    ids=repr,
+)
+def test_a_coefficient_is_read_through_its_decimal_literal(value, want):
+    for semiring in (R, NN, UI):
+        assert formal_sum(semiring, [("x", value)]).coeff("x") == want
+    assert formal_sum(CX, [("x", value)]).coeff("x") == QC(want, Fraction(0))
+
+
+def test_complex_parts_are_read_through_their_decimal_literals():
+    for z in (complex(0.1, 0.2), np.complex64(0.1 + 0.2j), np.complex128(0.1 + 0.2j)):
+        assert formal_sum(CX, [("x", z)]).coeff("x") == QC(Fraction(1, 10), Fraction(1, 5))
+
+
+def test_float_weights_form_an_exact_distribution():
+    s = formal_sum(UI, [("a", 0.1), ("b", 0.9)], distribution=True)
+    assert s.coeff("a") == Fraction(1, 10) and s.total() == 1
+    assert scale(0.5, unit("a", UI)).coeff("a") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("semiring", [R, NN, CX, UI], ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "value, match",
+    [
+        (True, "not a rational number"),
+        (False, "not a rational number"),
+        ("1/0", "not a rational number"),
+        ("1ex", "not a rational number"),
+        ("1e1001", "too long"),
+        ("1e-1000000", "too long"),
+        (Decimal("1e-999999999"), "too long"),
+        ("0." + "0" * 1000 + "1", "too long"),
+    ],
+    ids=["True", "False", "1/0", "1ex", "1e1001", "1e-1000000", "huge Decimal", "long string"],
+)
+def test_a_value_the_rule_refuses_is_a_value_error_at_once(semiring, value, match):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        formal_sum(semiring, [("x", value)])
+    with pytest.raises(ValueError, match=match):
+        scale(value, unit("x", semiring))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_literal_up_to_the_limit_is_parsed():
+    assert formal_sum(R, [("x", "1e1000")]).coeff("x") == 10**1000
+    assert formal_sum(R, [("x", "1" + "0" * 999)]).coeff("x") == 10**999
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: formal_sum("rational", [("a", 1)]),
+        lambda: formal_sum(None, []),
+        lambda: unit("a", "x"),
+        lambda: fmap(len, 3),
+        lambda: flatten(3),
+        lambda: flatten([unit("a")]),
+        lambda: scale(1, 3),
+    ],
+    ids=["formal_sum", "formal_sum None", "unit", "fmap", "flatten", "flatten list", "scale"],
+)
+def test_an_entry_point_refuses_an_argument_of_another_type_with_value_error(call):
+    with pytest.raises(ValueError, match="^(unknown semiring|not a formal sum): "):
+        call()
+
+
+def test_not_distribution_words_a_total_too_long_to_print():
+    pairs = [(k, Fraction(1, 10**900 + k)) for k in range(6)]
+    with pytest.raises(NotDistribution, match="sum to <Fraction, too long to show>, not 1"):
+        formal_sum(UI, pairs, distribution=True)
+    with pytest.raises(CoefficientOverflow, match="<Fraction, too long to show> outside"):
+        formal_sum(UI, [("x", Fraction(10**5000 + 1, 10**5000))])

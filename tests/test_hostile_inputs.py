@@ -40,7 +40,7 @@ from hsdual.operators import (
     loewner_leq,
     projector_onto,
 )
-from hsdual.effect import law_suite, make_unit_interval
+from hsdual.effect import law_suite, make_effects, make_powerset, make_projections, make_unit_interval
 from hsdual.operators import sample, sample_unitary
 from hsdual.wp import InvalidChannel, apply_channel, super_channel, to_super, unitary_channel, wp
 
@@ -461,3 +461,10 @@ def test_numpy_and_large_integer_seeds_replay(name, seed):
 def test_a_law_report_of_a_numpy_seed_is_json():
     report = law_suite(make_unit_interval(3), seed=np.int64(3))
     assert json.loads(json.dumps(report.to_json())) == law_suite(make_unit_interval(3), seed=3).to_json()
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1], ids=repr)
+@pytest.mark.parametrize("make", [make_unit_interval, make_powerset, make_effects, make_projections])
+def test_a_stock_sampler_refuses_a_seed_that_is_no_nonnegative_integer(make, seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        make(2).sampler(seed)

@@ -616,3 +616,36 @@ def test_mixture_accepts_numpy_float_weights_through_their_decimal_literal(dtype
     mix = mixture_channel([dtype(0.1), dtype(0.9)], [_id_channel(2), _x_channel()])
     want = 0.1 * to_super(_id_channel(2)) + 0.9 * to_super(_x_channel())
     assert approx_eq(mix.matrix, want, 1e-15)
+
+
+# --- mixture weights and formal_sum read a number by one rule ----------------------
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [0.1, np.float32(0.1), np.float64(0.1), Decimal("0.1"), "1/10", Fraction(1, 10), 1],
+    ids=repr,
+)
+def test_a_mixture_weight_is_formal_sums_coefficient(weight):
+    # the weights sum to exactly 1 only if the mixture reads the weight as formal_sum does
+    w = formal_sum(Semiring.UNIT_INTERVAL, [(0, weight)]).coeff(0)
+    mix = mixture_channel([weight, str(1 - w)], [_id_channel(2), _x_channel()])
+    want = float(w) * to_super(_id_channel(2)) + float(1 - w) * to_super(_x_channel())
+    assert approx_eq(mix.matrix, want, 1e-15)
+
+
+def test_a_boolean_and_a_huge_literal_are_refused_by_both_readings():
+    with pytest.raises(ValueError, match="not a rational number"):
+        formal_sum(Semiring.UNIT_INTERVAL, [(0, True)])
+    with pytest.raises(InvalidChannel, match="is not a number"):
+        mixture_channel([True, 0], [_id_channel(2), _x_channel()])
+    with pytest.raises(ValueError, match="too long"):
+        formal_sum(Semiring.UNIT_INTERVAL, [(0, "1e1001")])
+    with pytest.raises(InvalidChannel, match="too long"):
+        mixture_channel(["1e1001", 1], [_id_channel(2), _x_channel()])
+
+
+def test_mixture_words_a_total_too_long_to_print():
+    weights = [Fraction(1, 10**900 + k) for k in range(2)]
+    with pytest.raises(InvalidChannel, match="exact distribution: .*too long to show"):
+        mixture_channel(weights, [_id_channel(2), _x_channel()])
