@@ -69,7 +69,8 @@ class SemiringMismatch(AlgebraError):
 
 
 class CoefficientOverflow(AlgebraError):
-    """A bounded coefficient type left its range (unit interval only)."""
+    """A coefficient left its range: the unit interval's [0, 1], or the
+    float range when a carrier interprets it."""
 
 
 class NotDistribution(AlgebraError):
@@ -105,7 +106,7 @@ class QC:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
-        return f"QC({self.re}, {self.im})"
+        return f"QC({_text(self.re, str)}, {_text(self.im, str)})"
 
 
 _QC_ZERO = QC(Fraction(0), Fraction(0))
@@ -182,8 +183,24 @@ def _add(semiring: Semiring, a, b):
     return total
 
 
+def _text(x, form=repr) -> str:
+    """form(x), with an int beyond Python's limit on decimal digits (4,300
+    by default), which str() and repr() refuse, in hex, alone or as a part
+    of a Fraction.  The hex text differs from every decimal one, so the
+    text of distinct numbers stays distinct."""
+    try:
+        return form(x)
+    except ValueError:
+        if isinstance(x, int):
+            return hex(x)
+        if isinstance(x, Fraction):
+            n, d = _text(x.numerator), _text(x.denominator)
+            return n if d == "1" else f"{n}/{d}"
+        raise
+
+
 def _key_order(key) -> tuple:
-    return (type(key).__name__, repr(key))
+    return (type(key).__name__, _text(key))
 
 
 @dataclass(frozen=True)
@@ -191,7 +208,10 @@ class FormalSum:
     """Immutable formal sum; build through :func:`formal_sum` or :func:`unit`.
 
     ``terms`` is a tuple of (key, coefficient) pairs in a canonical order
-    with no zero coefficients, so structural equality is semantic equality.
+    (by the key's type name, then its repr) with no zero coefficients, so
+    structural equality is semantic equality.  An int too long for Python's
+    decimal conversion, as a key or in a coefficient, is ordered and
+    printed in hex.
     Keys may themselves be sums, nested several deep, so the hash and the
     repr (which orders the terms of an enclosing sum) are computed once per
     instance and cached; pickling drops both caches.
@@ -231,7 +251,7 @@ class FormalSum:
             if not self.terms:
                 r = f"FormalSum<{self.semiring.value}>(0)"
             else:
-                body = " + ".join(f"{c}|{k!r}>" for k, c in self.terms)
+                body = " + ".join(f"{_text(c, str)}|{_text(k)}>" for k, c in self.terms)
                 r = f"FormalSum<{self.semiring.value}>({body})"
             self.__dict__["_repr"] = r
         return r
@@ -348,6 +368,7 @@ def interpret(carrier: AlgebraCarrier, s: FormalSum):
     (NotDistribution otherwise).  Each coefficient becomes a Python number
     (``complex`` for a QC, ``float`` otherwise) that multiplies its resolved
     key, and the terms are added with ``+``, after the zero for a module.
+    A coefficient beyond the float range raises CoefficientOverflow.
     """
     if carrier.zero is not None:
         if s.semiring is not carrier.semiring:
@@ -358,7 +379,11 @@ def interpret(carrier: AlgebraCarrier, s: FormalSum):
         raise NotDistribution("convex carriers interpret distributions only")
     acc = carrier.zero
     for key, coeff in s.terms:
-        term = (complex(coeff) if isinstance(coeff, QC) else float(coeff)) * carrier.resolve(key)
+        try:
+            weight = complex(coeff) if isinstance(coeff, QC) else float(coeff)
+        except OverflowError:
+            raise CoefficientOverflow(f"coefficient {_shown(coeff, str)} is beyond the float range") from None
+        term = weight * carrier.resolve(key)
         acc = term if acc is None else acc + term
     return acc
 

@@ -9,7 +9,9 @@ closures over their carrier, with partiality encoded as an optional return:
 carry its operations on stacks of encoded elements (``StackedOps``): integer
 arrays for the unit interval and the powersets, matrix stacks for the
 projections, and integer arrays for the unit interval's scalar action.  The
-law checker then tests many cases per call.
+law checker writes each law once, on stacks, and tests many cases per call:
+with an instance's stacked operations when it has them, and otherwise with
+an adapter that applies its per-element operations row by row.
 
 Four stock instances are provided -- the rational unit interval, finite
 powersets under disjoint union, the effect operators of a finite-dimensional
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -64,6 +66,13 @@ class StackedOps:
     integers K[i] in [0, 64].  Its ``agrees_with`` is the per-element
     ``scalar_mul`` it agrees with, and the scalar laws run per element on
     an instance whose ``scalar_mul`` (or ``ovee``) is another function.
+
+    ``law_suite`` writes each law once, against this interface.  An
+    instance's own ``StackedOps`` run it natively; for every other case
+    ``law_suite`` builds an adapter ``StackedOps`` whose stacks are object
+    arrays of elements and whose operations call the instance's own
+    ``ovee``, ``eq``, ``orth`` and ``scalar_mul`` row by row, with a scalar
+    code k as the ``Fraction`` k/64.
     """
 
     ovee: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -92,16 +101,20 @@ class EffectInstance:
     this when it computes each pair sum once and reuses it across laws.
 
     ``stacked``, if given, holds the same three operations on stacks of
-    encoded elements (see ``StackedOps``), and ``law_suite`` then checks
-    the effect-algebra laws with them (and the scalar laws with
+    encoded elements (see ``StackedOps``).  ``law_suite`` then runs the
+    effect-algebra laws with them (and the scalar laws with
     ``stacked.scalars``), a stack of cases per call, on an exhaustive or a
-    sampled pool; if ``stacked.sample`` is set, it draws the sampled pool as
-    one stack.  A replaced ``ovee`` that is not ``stacked.agrees_with``
-    turns the stacked laws off when that field is set (the unit interval
-    and the powersets set it; the projections do not), and so does a
-    replaced ``scalar_mul`` that is not ``stacked.scalars.agrees_with`` for
-    the scalar laws.  Otherwise, whoever replaces ``ovee``, ``eq``,
-    ``orth`` or ``sampler`` on an instance that has ``stacked`` (say with
+    sampled pool, and calls the per-element operations only to word, and
+    confirm, the first case a law's stack flags; if ``stacked.sample`` is
+    set, it draws the sampled pool as one stack.  Without ``stacked``, the
+    same law code runs per element, through an adapter that calls
+    ``ovee``, ``eq``, ``orth`` and ``scalar_mul`` row by row.  A replaced
+    ``ovee`` that is not ``stacked.agrees_with`` sends the laws through
+    the adapter when that field is set (the unit interval and the
+    powersets set it; the projections do not), and so does a replaced
+    ``scalar_mul`` that is not ``stacked.scalars.agrees_with`` for the
+    scalar laws.  Otherwise, whoever replaces ``ovee``, ``eq``, ``orth`` or
+    ``sampler`` on an instance that has ``stacked`` (say with
     ``dataclasses.replace``) must replace ``stacked`` too, or set it to
     None; otherwise the laws never call the new operation, or check a pool
     the new sampler did not draw.
@@ -440,105 +453,216 @@ def _element_pool(inst: EffectInstance, samples: int, seed: int) -> tuple[Sequen
     return pool, False
 
 
-def _scalar_pool(rng: np.random.Generator, count: int) -> tuple[list[Fraction], np.ndarray]:
-    """count scalars k/8, and the same as the int64 64ths 8k."""
-    # one call draws what count calls rng.integers(0, 9) would, in order
-    ks = rng.integers(0, 9, size=count)
-    grid = [Fraction(k, 8) for k in range(9)]
-    return [grid[k] for k in ks.tolist()], 8 * ks
+def _objects(values: Iterable) -> np.ndarray:
+    """A 1-D object array of ``values``, which may themselves be arrays."""
+    return np.fromiter(values, object)
 
 
-def _stacked_tests(ops: StackedOps, zero_code, one_code) -> dict[str, Callable]:
-    """Each effect-algebra law's check, written on stacks with ``ops``.
+def _defined(S: np.ndarray) -> np.ndarray:
+    """The mask of the sums in an object array that are defined (not None)."""
+    return np.fromiter((s is not None for s in S), bool, len(S))
 
-    ``zero_code`` and ``one_code`` are the encoded zero and one.  A law's
-    test takes one operand stack per column of its index rows (see
-    ``law_suite``) and returns the mask of the cases whose per-element check
-    fails.
+
+def _adapter(inst: EffectInstance) -> StackedOps:
+    """``StackedOps`` on object arrays that apply ``inst``'s own ``ovee``,
+    ``eq``, ``orth`` and ``scalar_mul`` row by row (a scalar code k is the
+    Fraction k/64).  A row with a None operand, an undefined sum, is None,
+    or unequal, without a call."""
+
+    def each(f, *stacks):
+        return _objects(None if any(a is None for a in row) else f(*row) for row in zip(*stacks))
+
+    def ovee(X, Y):
+        S = each(inst.ovee, X, Y)
+        return S, _defined(S)
+
+    def scalar_mul(K, X):
+        return each(lambda k, x: inst.scalar_mul(Fraction(int(k), 64), x), K, X)
+
+    return StackedOps(
+        ovee=ovee,
+        eq=lambda X, Y: each(inst.eq, X, Y).astype(bool),
+        orth=lambda X: each(inst.orth, X),
+        encode=_objects,
+        scalar_mul=scalar_mul,
+    )
+
+
+class _Cases:
+    """What a law's test runs on: the pool and its orthosupplements as one
+    stack encoded by ``ops`` (pool[i] at i, its orthosupplement at n + i),
+    and the scalar pool as 64ths.
+
+    An operation given ``where`` forms its values only at the rows where it
+    holds; elsewhere a sum is undefined, an equality false and a product
+    any value.  Stacked operations form every row and mask the result.
     """
 
-    def zero(X):
-        return np.broadcast_to(zero_code, X.shape)
+    def __init__(self, ops: StackedOps, pool: Sequence, inst: EffectInstance, scalars: np.ndarray):
+        stack = ops.encode(pool)
+        stack.setflags(write=False)
+        self.stack = np.concatenate((stack, ops.orth(stack)))
+        self.stack.setflags(write=False)
+        self.ends = ops.encode([inst.zero, inst.one])
+        self.ops, self.scalars = ops, scalars
+        self.width = math.prod(self.stack.shape[1:])  # encoded entries per element
 
-    def one(X):
-        return np.broadcast_to(one_code, X.shape)
+    def columns(self, names: str, rows: np.ndarray) -> list:
+        """The operand stacks of ``rows``: column r or s indexes the scalars."""
+        return [self.scalars[c] if name in "rs" else self.stack[c] for name, c in zip(names, rows.T)]
 
-    def zero_unit(X):
-        S, defined = ops.ovee(zero(X), X)
-        return ~defined | ~ops.eq(S, X)
+    def zero(self, X):
+        return np.broadcast_to(self.ends[:1], X.shape)
 
-    def commutativity(X, Y):
-        S1, d1 = ops.ovee(X, Y)
-        S2, d2 = ops.ovee(Y, X)
-        return (d1 != d2) | (d1 & ~ops.eq(S1, S2))
+    def one(self, X):
+        return np.broadcast_to(self.ends[1:], X.shape)
 
-    def associativity(X, Y, Z):
-        YZ, d_yz = ops.ovee(Y, Z)
-        X_YZ, d_x_yz = ops.ovee(X, YZ)
-        XY, d_xy = ops.ovee(X, Y)
-        XY_Z, d_xy_z = ops.ovee(XY, Z)
-        return d_yz & d_x_yz & ~(d_xy & d_xy_z & ops.eq(X_YZ, XY_Z))
+    def _only(self, X, where):
+        return X
 
-    def orth_exists(X, Xo):
-        S, defined = ops.ovee(X, Xo)
-        return ~defined | ~ops.eq(S, one(X))
+    def ovee(self, X, Y, where=None):
+        S, defined = self.ops.ovee(self._only(X, where), Y)
+        return S, defined if where is None else defined & where
 
-    def orth_unique(X, Y):
-        S, defined = ops.ovee(X, Y)
-        return defined & ops.eq(S, one(X)) & ~ops.eq(Y, ops.orth(X))
+    def pair(self, X, Y, where=None):
+        """X (+) Y for stack elements X and Y."""
+        return self.ovee(X, Y, where)
 
-    def one_maximal(X):
-        _, defined = ops.ovee(X, one(X))
-        return defined & ~ops.eq(X, zero(X))
+    def eq(self, X, Y, where=None):
+        same = self.ops.eq(self._only(X, where), Y)
+        return same if where is None else same & where
 
-    return {
-        "zero-unit": zero_unit,
-        "commutativity": commutativity,
-        "associativity": associativity,
-        "orthosupplement-exists": orth_exists,
-        "orthosupplement-unique": orth_unique,
-        "one-maximal": one_maximal,
-    }
+    def mul(self, K, X, where=None):
+        return self.ops.scalar_mul(K, self._only(X, where))
 
 
-def _stacked_scalar_tests(
-    ops: StackedOps, stack: np.ndarray, K: np.ndarray
-) -> dict[str, Callable]:
-    """Each scalar law's check, written on stacks with ``ops.scalar_mul``.
+class _ElementCases(_Cases):
+    """The same cases as object arrays under ``_adapter(inst)``: per element.
 
-    ``stack`` holds the pool encoded by ``ops``, and K the scalar pool as
-    64ths.  The scalars are eighths, so r s and r + s are whole 64ths.  A
-    law's test takes the columns of its index rows (see ``law_suite``) and
-    returns the mask of the cases whose per-element check fails.
+    Each pair of stack elements is summed once, and each orthosupplement
+    formed once, per instance of this class.
     """
-    mul, m = ops.scalar_mul, len(K)
 
-    def unit(i):
-        X = stack[i]
-        return ~ops.eq(mul(np.full(len(i), 64), X), X)
+    def __init__(self, inst: EffectInstance, pool: Sequence, scalars: np.ndarray):
+        super().__init__(_adapter(inst), pool, inst, scalars)
+        self.inst = inst
+        self.sums: dict = {}
 
-    def associativity(i):
-        X, R, S = stack[i], K[i % m], K[(i * 7 + 3) % m]
-        return ~ops.eq(mul(R * S // 64, X), mul(R, mul(S, X)))
+    def _only(self, X, where):
+        return X if where is None else np.where(where, X, None)
 
-    def distributes_over_sum(p, a, b):
-        R, X, Y = K[p % m], stack[a], stack[b]
-        XY, defined = ops.ovee(X, Y)
-        lhs, lhs_defined = ops.ovee(mul(R, X), mul(R, Y))
-        return defined & ~(lhs_defined & ops.eq(lhs, mul(R, XY)))
+    def pair(self, X, Y, where=None):
+        def total(x, y):
+            key = (id(x), id(y))
+            if key not in self.sums:
+                # x and y are held, so that no other object takes their ids
+                self.sums[key] = (x, y, self.inst.ovee(x, y))
+            return self.sums[key][2]
 
-    def sum_distributes(i):
-        X, R, S = stack[i], K[i % m], K[(i * 5 + 1) % m]
-        lhs, defined = ops.ovee(mul(R, X), mul(S, X))
-        # a case with r + s > 1 holds vacuously; the cap keeps codes <= 64
-        return (R + S <= 64) & ~(defined & ops.eq(lhs, mul(np.minimum(R + S, 64), X)))
+        S = _objects(None if x is None else total(x, y) for x, y in zip(self._only(X, where), Y))
+        return S, _defined(S)
 
-    return {
-        "scalar-unit": unit,
-        "scalar-associativity": associativity,
-        "scalar-distributes-over-sum": distributes_over_sum,
-        "scalar-sum-distributes": sum_distributes,
-    }
+    def word(self, message: str, names: str, row: np.ndarray) -> str:
+        """``message`` with each of the row's columns in its place."""
+        d = self.inst.describe
+        terms = {
+            name: str(Fraction(int(self.scalars[c]), 64)) if name in "rs" else d(self.stack[c])
+            for name, c in zip(names, row.tolist())
+        }
+        return message.format(**terms)
+
+
+# Each law is written once, on stacks: it takes the cases and the operand
+# stacks of its rows, and returns one mask per message.  A row's reason code
+# is k for the first mask k that holds there, and 0 (the law holds) when
+# none does.
+
+
+def _zero_unit(c: _Cases, X):
+    S, defined = c.ovee(c.zero(X), X)
+    return ~defined, defined & ~c.eq(S, X, defined)
+
+
+def _commutativity(c: _Cases, X, Y):
+    S1, d1 = c.pair(X, Y)
+    S2, d2 = c.pair(Y, X)
+    both = d1 & d2
+    return d1 != d2, both & ~c.eq(S1, S2, both)
+
+
+def _associativity(c: _Cases, X, Y, Z):
+    # vacuous where x (+) (y (+) z) is undefined
+    X_YZ, held = c.ovee(X, *c.pair(Y, Z))
+    XY, d_xy = c.pair(X, Y, held)
+    XY_Z, d_xy_z = c.ovee(XY, Z, d_xy)
+    return held & ~d_xy, d_xy & ~d_xy_z, d_xy_z & ~c.eq(X_YZ, XY_Z, d_xy_z)
+
+
+def _orth_exists(c: _Cases, X, Xo):
+    S, defined = c.pair(X, Xo)
+    return ~defined, defined & ~c.eq(S, c.one(X), defined)
+
+
+def _orth_unique(c: _Cases, X, Y, Xo):
+    S, defined = c.pair(X, Y)
+    sums_to_one = c.eq(S, c.one(X), defined)
+    return (sums_to_one & ~c.eq(Y, Xo, sums_to_one),)
+
+
+def _one_maximal(c: _Cases, X):
+    _, defined = c.ovee(X, c.one(X))
+    return (defined & ~c.eq(X, c.zero(X), defined),)
+
+
+def _scalar_unit(c: _Cases, X):
+    return (~c.eq(c.mul(np.full(len(X), 64), X), X),)
+
+
+def _scalar_associativity(c: _Cases, X, R, S):
+    return (~c.eq(c.mul(R * S // 64, X), c.mul(R, c.mul(S, X))),)
+
+
+def _scalar_distributes_over_sum(c: _Cases, X, Y, R):
+    XY, defined = c.pair(X, Y)
+    lhs, held = c.ovee(c.mul(R, X, defined), c.mul(R, Y, defined), defined)
+    return defined & ~held, held & ~c.eq(lhs, c.mul(R, XY, held), held)
+
+
+def _scalar_sum_distributes(c: _Cases, X, R, S):
+    # vacuous where r + s > 1; the cap keeps every scalar code <= 64
+    applies = R + S <= 64
+    lhs, held = c.ovee(c.mul(R, X, applies), c.mul(S, X, applies), applies)
+    RS_X = c.mul(np.minimum(R + S, 64), X, held)
+    return applies & ~held, held & ~c.eq(lhs, RS_X, held)
+
+
+# (law, the columns of its rows, its test, then its messages by reason code).
+# Column x, y or z indexes the pool, o the orthosupplement of x, and r or s
+# the scalar pool.  The last four laws are the scalar (effect-module) laws.
+_LAWS = (
+    ("zero-unit", "x", _zero_unit, "0 (+) x undefined for x = {x}", "0 (+) x != x for x = {x}"),
+    ("commutativity", "xy", _commutativity,
+        "definedness of x (+) y differs from y (+) x for x = {x}, y = {y}",
+        "x (+) y != y (+) x for x = {x}, y = {y}"),
+    ("associativity", "xyz", _associativity,
+        "x (+) y undefined although x (+) (y (+) z) is defined: x = {x}, y = {y}, z = {z}",
+        "(x (+) y) (+) z undefined although x (+) (y (+) z) is defined: x = {x}, y = {y}, z = {z}",
+        "associativity fails for x = {x}, y = {y}, z = {z}"),
+    ("orthosupplement-exists", "xo", _orth_exists,
+        "x (+) orth(x) undefined for x = {x}", "x (+) orth(x) != 1 for x = {x}"),
+    ("orthosupplement-unique", "xyo", _orth_unique,
+        "x (+) y = 1 but y != orth(x) for x = {x}, y = {y}"),
+    ("one-maximal", "x", _one_maximal, "x (+) 1 defined for x != 0: x = {x}"),
+    ("scalar-unit", "x", _scalar_unit, "1 . x != x for x = {x}"),
+    ("scalar-associativity", "xrs", _scalar_associativity,
+        "(r s) . x != r . (s . x) for r = {r}, s = {s}, x = {x}"),
+    ("scalar-distributes-over-sum", "xyr", _scalar_distributes_over_sum,
+        "r.x (+) r.y undefined although x (+) y defined: r = {r}, x = {x}, y = {y}",
+        "r.(x (+) y) != r.x (+) r.y for r = {r}, x = {x}, y = {y}"),
+    ("scalar-sum-distributes", "xrs", _scalar_sum_distributes,
+        "r.x (+) s.x undefined although r + s <= 1: r = {r}, s = {s}, x = {x}",
+        "(r + s).x != r.x (+) s.x for r = {r}, s = {s}, x = {x}"),
+)
 
 
 def law_suite(
@@ -559,42 +683,41 @@ def law_suite(
 
     Every law runs over rows of pool indices: singles, pairs, triples, or
     the complement rows (x, orth(x)).  Its cases are the rows in order, and
-    it stops at the first row whose per-element check fails.
-
-    Cost, per element: each ordered pair of elements is summed at most once
-    per run and shared by every law that needs it, so an exhaustive pool of
-    n elements costs at most n² pair sums.  Likewise orth(x) and
-    x (+) orth(x) are computed once per pool element and shared by both
-    orthosupplement laws.  These values are held by two ``functools.cache``
-    closures built on each call, so they live for one call; nothing is
-    cached across calls.  Associativity holds vacuously where y (+) z is
-    undefined, so an exhaustive pool without ``stacked`` visits only the
-    triples (x, y, z) with y (+) z defined, read off a table of all n²
-    pair sums; ``checked`` still counts all n³ of them, or gives the
-    1-based x-major position of the first failing triple.
+    ``checked`` counts them up to the first that fails.  The scalars are
+    eighths, drawn once per pair.
 
     A sampled pool holds ``sampler(seed + i)`` for i < samples, then zero
     and one.  ``stacked.sample`` draws it as one stack when the instance has
     it (for projections: one QR and one product per column pattern for the
-    whole pool), and ``sampler`` element by element otherwise.  On an
-    instance with ``stacked`` (and whose ``ovee`` is the one it agrees
-    with), the pool, exhaustive or sampled, is encoded once and stacked with
-    its orthosupplements, and each of the six effect-algebra laws tests its
-    rows with ``stacked``, a chunk of at most 2^16 encoded entries per
-    operand at a time, so the memory beyond those two stacks stays bounded
-    for any ``samples``.  Only the rows a test flags run per element, to
-    word the counterexample; the report equals the per-element one (same
-    draws, counts, positions and text), and ValueError is raised if the
-    per-element check passes a flagged case.  The four scalar laws run the
-    same way with ``stacked.scalars`` when the instance has it and its
-    ``scalar_mul`` is the one those agree with (the unit interval up to
-    max_denominator 36), and per element otherwise.
+    whole pool), and ``sampler`` element by element otherwise.
+
+    Cost.  Each law is written once, on stacks, and tests a chunk of rows
+    per call, whose operand columns hold at most 2^16 encoded entries in
+    all.  The pool is encoded once and stacked with its orthosupplements,
+    so the memory beyond that stack stays bounded for any ``samples``.  An
+    instance whose ``stacked`` agrees with its ``ovee`` (see
+    ``EffectInstance``) runs the six effect-algebra laws with those
+    operations, and the four scalar laws with ``stacked.scalars`` when that
+    agrees with its ``scalar_mul``.  Its per-element operations are called
+    only when a law's stack flags a row: that row runs again per element,
+    to word the counterexample, and ValueError is raised if it passes
+    there.  So the report equals the per-element one (same draws, counts,
+    positions and text).  Every other law runs per element: the same law
+    code, on object arrays whose operations call the instance's own
+    ``ovee``, ``eq``, ``orth`` and ``scalar_mul`` row by row.  There each
+    ordered pair of pool elements and orthosupplements is summed at most
+    once per call and shared by every law that needs it, each orth(x) is
+    taken once per pool element, and a sum with an undefined operand, such
+    as x (+) (y (+) z) where y (+) z is undefined, is not formed.  These
+    memos live for one call.  A whole chunk of rows is evaluated before its
+    first failure is reported, so the operations may also be called on
+    cases after it.
     """
     rng = _seeded_rng(seed)
     pool, exhaustive = _element_pool(inst, samples, seed)
     n = len(pool)
 
-    # rows index ``elements``: pool[i] at i, orth(pool[i]) at n + i
+    # rows index the pool at i and orth(pool[i]) at n + i
     singles = np.arange(n)[:, None]
     complements = np.column_stack((np.arange(n), np.arange(n, 2 * n)))
     if exhaustive:
@@ -606,192 +729,54 @@ def law_suite(
         draws = rng.integers(0, n, size=5 * samples)
         pairs = draws[: 2 * samples].reshape(-1, 2)
         triples = draws[2 * samples :].reshape(-1, 3)
-
-    @cache
-    def element(i: int):
-        """pool[i], or orth(pool[i - n]), computed once per run."""
-        return pool[i] if i < n else inst.orth(pool[i - n])
-
-    @cache
-    def pair_sum(i: int, j: int):
-        """element(i) (+) element(j), computed once per run."""
-        return inst.ovee(element(i), element(j))
-
-    d = inst.describe
-
-    def chk_zero(i):
-        x = pool[i]
-        s = inst.ovee(inst.zero, x)
-        if s is None:
-            return f"0 (+) x undefined for x = {d(x)}"
-        if not inst.eq(s, x):
-            return f"0 (+) x != x for x = {d(x)}"
-        return None
-
-    def chk_comm(i, j):
-        s1 = pair_sum(i, j)
-        s2 = pair_sum(j, i)
-        x, y = pool[i], pool[j]
-        if (s1 is None) != (s2 is None):
-            return f"definedness of x (+) y differs from y (+) x for x = {d(x)}, y = {d(y)}"
-        if s1 is not None and not inst.eq(s1, s2):
-            return f"x (+) y != y (+) x for x = {d(x)}, y = {d(y)}"
-        return None
-
-    def chk_assoc(i, j, k):
-        yz = pair_sum(j, k)
-        if yz is None:
-            return None
-        x, y, z = pool[i], pool[j], pool[k]
-        x_yz = inst.ovee(x, yz)
-        if x_yz is None:
-            return None
-        xy = pair_sum(i, j)
-        if xy is None:
-            return f"x (+) y undefined although x (+) (y (+) z) is defined: x = {d(x)}, y = {d(y)}, z = {d(z)}"
-        xy_z = inst.ovee(xy, z)
-        if xy_z is None:
-            return f"(x (+) y) (+) z undefined although x (+) (y (+) z) is defined: x = {d(x)}, y = {d(y)}, z = {d(z)}"
-        if not inst.eq(x_yz, xy_z):
-            return f"associativity fails for x = {d(x)}, y = {d(y)}, z = {d(z)}"
-        return None
-
-    def chk_orth_exists(i, c):
-        s = pair_sum(i, c)
-        if s is None:
-            return f"x (+) orth(x) undefined for x = {d(pool[i])}"
-        if not inst.eq(s, inst.one):
-            return f"x (+) orth(x) != 1 for x = {d(pool[i])}"
-        return None
-
-    def chk_orth_unique(i, j):
-        s = pair_sum(i, j)
-        if s is None or not inst.eq(s, inst.one):
-            return None
-        y = element(j)
-        if not inst.eq(y, element(n + i)):
-            return f"x (+) y = 1 but y != orth(x) for x = {d(pool[i])}, y = {d(y)}"
-        return None
-
-    def chk_one_maximal(i):
-        x = pool[i]
-        s = inst.ovee(x, inst.one)
-        if s is not None and not inst.eq(x, inst.zero):
-            return f"x (+) 1 defined for x != 0: x = {d(x)}"
-        return None
-
-    # (law, index rows, per-element check); the uniqueness law also runs on
-    # the complement rows, so that it is exercised even when random pairs
-    # rarely sum to 1
-    laws = [
-        ("zero-unit", singles, chk_zero),
-        ("commutativity", pairs, chk_comm),
-        ("associativity", triples, chk_assoc),
-        ("orthosupplement-exists", complements, chk_orth_exists),
-        ("orthosupplement-unique", np.concatenate((pairs, complements)), chk_orth_unique),
-        ("one-maximal", singles, chk_one_maximal),
-    ]
-
+    # the uniqueness law also runs on the complement rows, so that it is
+    # exercised even when random pairs rarely sum to 1
+    unique = np.concatenate((pairs, complements))
+    # the rows of each law, in the order of _LAWS
+    rows = [singles, pairs, triples, complements, np.column_stack((unique, unique[:, 0] + n)), singles]
+    scalars = None
     if inst.scalar_mul is not None:
-        smul = inst.scalar_mul
-        scalars, scalar_codes = _scalar_pool(rng, max(len(pairs), 1))
+        # one call draws what as many calls rng.integers(0, 9) would, in
+        # order; as 64ths, so that r s and r + s are whole codes
+        m = max(len(pairs), 1)
+        scalars = 8 * rng.integers(0, 9, size=m)
+        i = np.arange(n)
+        rows += [singles, np.column_stack((i, i % m, (i * 7 + 3) % m))]
+        rows += [np.column_stack((pairs, np.arange(len(pairs)))), np.column_stack((i, i % m, (i * 5 + 1) % m))]
 
-        def chk_scalar_one(i):
-            x = pool[i]
-            if not inst.eq(smul(Fraction(1), x), x):
-                return f"1 . x != x for x = {d(x)}"
-            return None
-
-        def chk_scalar_assoc(i):
-            x = pool[i]
-            r, s = scalars[i % len(scalars)], scalars[(i * 7 + 3) % len(scalars)]
-            if not inst.eq(smul(r * s, x), smul(r, smul(s, x))):
-                return f"(r s) . x != r . (s . x) for r = {r}, s = {s}, x = {d(x)}"
-            return None
-
-        def chk_scalar_distrib_elem(p, a, b):
-            r = scalars[p % len(scalars)]
-            s = pair_sum(a, b)
-            if s is None:
-                return None
-            x, y = pool[a], pool[b]
-            lhs = inst.ovee(smul(r, x), smul(r, y))
-            if lhs is None:
-                return f"r.x (+) r.y undefined although x (+) y defined: r = {r}, x = {d(x)}, y = {d(y)}"
-            if not inst.eq(lhs, smul(r, s)):
-                return f"r.(x (+) y) != r.x (+) r.y for r = {r}, x = {d(x)}, y = {d(y)}"
-            return None
-
-        def chk_scalar_distrib_scalar(i):
-            x = pool[i]
-            r, s = scalars[i % len(scalars)], scalars[(i * 5 + 1) % len(scalars)]
-            if r + s > 1:
-                return None
-            lhs = inst.ovee(smul(r, x), smul(s, x))
-            if lhs is None:
-                return f"r.x (+) s.x undefined although r + s <= 1: r = {r}, s = {s}, x = {d(x)}"
-            if not inst.eq(lhs, smul(r + s, x)):
-                return f"(r + s).x != r.x (+) s.x for r = {r}, s = {s}, x = {d(x)}"
-            return None
-
-        indexed_pairs = np.column_stack((np.arange(len(pairs)), pairs))
-        laws += [
-            ("scalar-unit", singles, chk_scalar_one),
-            ("scalar-associativity", singles, chk_scalar_assoc),
-            ("scalar-distributes-over-sum", indexed_pairs, chk_scalar_distrib_elem),
-            ("scalar-sum-distributes", singles, chk_scalar_distrib_scalar),
-        ]
-
-    # flags[law] marks a chunk's candidate rows; a law without one runs
-    # every row.  A stacked test flags the rows whose check fails.
     ops = inst.stacked
     if ops is not None and ops.agrees_with not in (None, inst.ovee):
         ops = None  # they agree with another ovee than the one to check
-    if ops is None:
-        chunk, tests = _STACK_ENTRIES, {}
-    else:
-        stack = ops.encode(pool)
-        stack.setflags(write=False)
-        stack = np.concatenate((stack, ops.orth(stack)))
-        stack.setflags(write=False)
-        chunk = max(1, _STACK_ENTRIES // stack[0].size)
-        tests = {
-            law: lambda rows, test=test: test(*stack[rows.T])
-            for law, test in _stacked_tests(ops, *ops.encode([inst.zero, inst.one])).items()
-        }
-        sops = ops.scalars if inst.scalar_mul is not None else None
-        if sops is not None and sops.agrees_with in (None, inst.scalar_mul):
-            sstack = sops.encode(pool)
-            sstack.setflags(write=False)
-            for law, test in _stacked_scalar_tests(sops, sstack, scalar_codes).items():
-                tests[law] = lambda rows, test=test: test(*rows.T)
-    flags = dict(tests)
-    if exhaustive and ops is None:
-        defined = np.array([[pair_sum(j, k) is not None for k in range(n)] for j in range(n)])
-        flags["associativity"] = lambda rows: defined[rows[:, 1], rows[:, 2]]
-
-    def candidates(rows: np.ndarray, flag: Optional[Callable]) -> Iterable:
-        """(1-based position, row) of each flagged row, a chunk at a time."""
-        for lo in range(0, len(rows), chunk):
-            block = rows[lo : lo + chunk]
-            at = np.arange(len(block)) if flag is None else np.flatnonzero(flag(block))
-            yield from zip((at + lo + 1).tolist(), zip(*block[at].T.tolist()))
+    sops = None if ops is None or scalars is None else ops.scalars
+    if sops is not None and sops.agrees_with not in (None, inst.scalar_mul):
+        sops = None
+    stacked = [ops and _Cases(ops, pool, inst, scalars)] * 6
+    stacked += [sops and _Cases(sops, pool, inst, scalars)] * 4
+    per_element = cache(lambda: _ElementCases(inst, pool, scalars))
 
     entries: list[LawEntry] = []
-    for law, rows, check in laws:
-        stacked = law in tests
-        for position, row in candidates(rows, flags.get(law)):
-            msg = check(*row)
-            if msg is not None:
-                entries.append(LawEntry(law, False, position, msg))
-                break
-            if stacked:
-                raise ValueError(
-                    f"{inst.name}: the stacked operations fail a {law} case"
-                    " that ovee, eq and orth pass"
-                )
+    for (law, names, test, *messages), law_rows, cases in zip(_LAWS, rows, stacked):
+        cases = cases or per_element()
+        # a chunk of rows whose operand columns hold at most 2^16 entries
+        chunk = max(1, _STACK_ENTRIES // (cases.width * len(names)))
+        for lo in range(0, len(law_rows), chunk):
+            block = law_rows[lo : lo + chunk]
+            fails = test(cases, *cases.columns(names, block))
+            failed = np.flatnonzero(reduce(np.logical_or, fails))
+            if not len(failed):
+                continue
+            f, words = int(failed[0]), per_element()
+            position, row = lo + f + 1, block[f]
+            if cases is not words:  # word, and confirm, a stacked flag per element
+                fails, f = test(words, *words.columns(names, block[f : f + 1])), 0
+            code = next((k for k, fail in enumerate(fails, 1) if fail[f]), 0)  # the row's reason code
+            if not code:
+                why = f"the stacked operations fail a {law} case that ovee, eq and orth pass"
+                raise ValueError(f"{inst.name}: {why}")
+            entries.append(LawEntry(law, False, position, words.word(messages[code - 1], names, row)))
+            break
         else:
-            entries.append(LawEntry(law, True, len(rows), None))
+            entries.append(LawEntry(law, True, len(law_rows), None))
 
     return LawReport(inst.name, int(seed), tol, tuple(entries))  # json cannot write a NumPy int
 

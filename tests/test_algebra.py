@@ -655,3 +655,37 @@ def test_not_distribution_words_a_total_too_long_to_print():
         formal_sum(UI, pairs, distribution=True)
     with pytest.raises(CoefficientOverflow, match="<Fraction, too long to show> outside"):
         formal_sum(UI, [("x", Fraction(10**5000 + 1, 10**5000))])
+
+
+# --- integers too long for decimal text ---------------------------------------
+#
+# Python refuses to print an int of more than 4,300 digits in decimal.  Sums
+# order their keys by repr, and order nested sums by theirs, so such an int is
+# ordered and printed in hex, which no decimal text can equal.
+
+
+def test_a_key_too_long_for_decimal_text_is_ordered_and_printed_in_hex():
+    big = 10**5000
+    s = formal_sum(R, [(big, 1), (1, 1)])
+    assert s == formal_sum(R, [(1, 1), (big, 1)])
+    assert s.support() == (big, 1)  # "0x..." sorts before "1"
+    assert f"1|{hex(big)}>" in repr(s)
+    assert repr(s) != repr(formal_sum(R, [(big + 1, 1), (1, 1)]))
+
+
+def test_a_coefficient_too_long_for_decimal_text_is_printed_in_hex():
+    big = 10**5000
+    assert repr(formal_sum(R, [("x", big)])) == f"FormalSum<rational>({hex(big)}|'x'>)"
+    assert repr(formal_sum(R, [("x", Fraction(1, big))])) == f"FormalSum<rational>(1/{hex(big)}|'x'>)"
+    assert f"QC({hex(big)}, 0)" in repr(formal_sum(Semiring.COMPLEX_RATIONAL, [("x", big)]))
+    # nested sums are ordered by their repr, so it must tell them apart
+    inner = [formal_sum(R, [("x", big + k)]) for k in range(3)]
+    outer = formal_sum(R, [(s, 1) for s in reversed(inner)])
+    assert outer == formal_sum(R, [(s, 1) for s in inner]) and len(outer) == 3
+
+
+@pytest.mark.parametrize("semiring", [Semiring.RATIONAL, Semiring.COMPLEX_RATIONAL])
+def test_a_coefficient_beyond_the_float_range_cannot_be_interpreted(semiring):
+    carrier = matrix_module_carrier(2, {"a": np.eye(2)}, semiring)
+    with pytest.raises(CoefficientOverflow, match="beyond the float range"):
+        interpret(carrier, formal_sum(semiring, [("a", 10**400)]))
